@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="rng seed threaded end to end")
         p.add_argument(
             "--threads", type=int, default=os.cpu_count() or 1,
-            help="shard count for aggregation (deterministic for any value)",
+            help="accepted for compatibility; aggregation is one serial pass whatever its value",
         )
 
     p = sub.add_parser("synth", help="generate a synthetic corpus and click log")
@@ -272,8 +272,7 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     stats = ParseStats()
     with _open_required(args.log) as fh:
-        events = list(parse_log(fh, stats))
-    aggregates = aggregate_sharded(events, max(1, args.threads))
+        aggregates = aggregate_sharded(parse_log(fh, stats))
     with open(args.out, "w", encoding="utf-8") as fh:
         write_aggregates(aggregates, fh)
     print(

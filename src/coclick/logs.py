@@ -6,16 +6,20 @@ distinct clicked articles is a coclick: the higher-ranked click is the seed,
 the lower-ranked one the similar article. Aggregation reduces coclicks to
 one record per (seed, similar) pair holding a normalized-query -> count map.
 
-Aggregation is an associative, commutative merge over immutable inputs, so
-event shards can be reduced in any grouping and yield identical results.
+Ingest is one streamed pass: ``aggregate_sharded(parse_log(lines))`` holds a
+(rank, article_id) list per (session, query) group, never the events
+themselves, and counts each group's pairs straight into the aggregates.
+Aggregates are a pointwise sum, so ``merge_aggregates`` reduces maps built
+from disjoint sets of groups in any order to the same result.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .base import DatasetError
 
@@ -23,10 +27,10 @@ RAW_LOG_COLUMNS = ("session_id", "timestamp_ms", "query", "rank", "article_id")
 METADATA_COLUMNS = ("article_id", "title", "abstract")
 
 PairKey = tuple[str, str]
+Click = tuple[int, str]
 
 
-@dataclass(frozen=True)
-class SessionEvent:
+class SessionEvent(NamedTuple):
     """One click row from a raw session log."""
 
     session_id: str
@@ -75,57 +79,76 @@ def parse_log(lines: Iterable[str], stats: ParseStats | None = None) -> Iterator
     """Yield a :class:`SessionEvent` per well-formed TSV line.
 
     Malformed lines (wrong field count, bad rank, empty query or article id)
-    are skipped and tallied on ``stats``; real logs are dirty and a bad line
-    should never abort an ingest.
+    are skipped and tallied; real logs are dirty and a bad line should never
+    abort an ingest. The tallies are added to ``stats`` when the stream is
+    used up or closed, not line by line.
     """
-    if stats is None:
-        stats = ParseStats()
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(RAW_LOG_COLUMNS):
-            stats.malformed += 1
-            continue
-        session_id, ts_text, query, rank_text, article_id = fields
-        query = query.strip()
-        article_id = article_id.strip()
-        try:
-            rank = int(rank_text)
-            timestamp = int(ts_text)
-        except ValueError:
-            stats.malformed += 1
-            continue
-        if rank < 1 or not query or not article_id or not session_id:
-            stats.malformed += 1
-            continue
-        stats.parsed += 1
-        yield SessionEvent(session_id, query, rank, article_id, timestamp)
+    parsed = malformed = 0
+    width = len(RAW_LOG_COLUMNS)
+    # Builds each event as a plain tuple of the subclass, skipping the
+    # Python-level SessionEvent.__new__ call that otherwise runs per line.
+    new_event = tuple.__new__
+    try:
+        for line in lines:
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != width:
+                if fields != [""]:
+                    malformed += 1
+                continue
+            session_id, ts_text, query, rank_text, article_id = fields
+            query = query.strip()
+            article_id = article_id.strip()
+            try:
+                rank = int(rank_text)
+                timestamp = int(ts_text)
+            except ValueError:
+                malformed += 1
+                continue
+            if rank < 1 or not query or not article_id or not session_id:
+                malformed += 1
+                continue
+            parsed += 1
+            yield new_event(SessionEvent, (session_id, query, rank, article_id, timestamp))
+    finally:
+        if stats is not None:
+            stats.parsed += parsed
+            stats.malformed += malformed
+
+
+def group_clicks(events: Iterable[SessionEvent]) -> dict[tuple[str, str], list[Click]]:
+    """Map each (session_id, query) group to its (rank, article_id) clicks, in one pass."""
+    groups: defaultdict[tuple[str, str], list[Click]] = defaultdict(list)
+    for session_id, query, rank, article_id, _ in events:
+        groups[session_id, query].append((rank, article_id))
+    return groups
+
+
+def ranked_pairs(clicks: list[Click]) -> list[PairKey]:
+    """The (seed, similar) coclicks of one group's (rank, article_id) clicks.
+
+    Repeated clicks on the same article keep only the lowest-ranked
+    occurrence; the rest are ordered by (rank, article_id). Pairs need a
+    strict rank order, so two clicks sharing a rank produce nothing.
+    """
+    seen: set[str] = set()
+    ordered: list[Click] = []
+    for click in sorted(clicks):
+        if click[1] not in seen:
+            seen.add(click[1])
+            ordered.append(click)
+    return [(seed, similar) for (r1, seed), (r2, similar) in combinations(ordered, 2) if r1 < r2]
 
 
 def extract_coclicks(events: Iterable[SessionEvent]) -> list[CoclickInstance]:
     """Emit one coclick per rank-ordered pair of distinct articles in a group.
 
-    Groups are (session_id, query). Repeated clicks on the same article keep
-    only the lowest-ranked occurrence. Pairs need a strict rank order, so two
-    clicks sharing a rank produce nothing.
+    Groups are (session_id, query); :func:`ranked_pairs` gives the pair rule.
     """
-    groups: dict[tuple[str, str], list[SessionEvent]] = {}
-    for event in events:
-        groups.setdefault((event.session_id, event.query), []).append(event)
-
-    instances: list[CoclickInstance] = []
-    for (_, query), group in groups.items():
-        best: dict[str, SessionEvent] = {}
-        for event in sorted(group, key=lambda e: e.rank):
-            if event.article_id not in best:
-                best[event.article_id] = event
-        clicks = sorted(best.values(), key=lambda e: (e.rank, e.article_id))
-        for a, b in combinations(clicks, 2):
-            if a.rank < b.rank:
-                instances.append(CoclickInstance(a.article_id, b.article_id, query))
-    return instances
+    return [
+        CoclickInstance(seed, similar, query)
+        for (_, query), clicks in group_clicks(events).items()
+        for seed, similar in ranked_pairs(clicks)
+    ]
 
 
 def aggregate_pairs(instances: Iterable[CoclickInstance]) -> dict[PairKey, PairAggregate]:
@@ -156,28 +179,26 @@ def merge_aggregates(
     return merged
 
 
-def aggregate_sharded(
-    events: Iterable[SessionEvent], shards: int
-) -> dict[PairKey, PairAggregate]:
-    """Aggregate via per-shard reduction then merge.
+def aggregate_sharded(events: Iterable[SessionEvent]) -> dict[PairKey, PairAggregate]:
+    """Aggregate a stream of events in one serial pass.
 
-    Whole (session, query) groups stay inside one shard so this is exactly
-    equivalent to a single-pass aggregate; the merge step is what a parallel
-    runner would execute.
+    The result equals ``aggregate_pairs(extract_coclicks(events))``.
+    ``events`` is consumed once and may be a generator such as
+    :func:`parse_log`; groups need not be contiguous in it. Each group's
+    query is normalized once and its pairs are counted in place.
     """
-    if shards < 1:
-        shards = 1
-    groups: dict[tuple[str, str], list[SessionEvent]] = {}
-    for event in events:
-        groups.setdefault((event.session_id, event.query), []).append(event)
-    keys = list(groups)
-    chunk = max(1, (len(keys) + shards - 1) // shards)
-    result: dict[PairKey, PairAggregate] = {}
-    for i in range(0, len(keys), chunk):
-        shard_events = [e for k in keys[i : i + chunk] for e in groups[k]]
-        shard_agg = aggregate_pairs(extract_coclicks(shard_events))
-        result = merge_aggregates(result, shard_agg)
-    return result
+    aggregates: dict[PairKey, PairAggregate] = {}
+    for (_, query), clicks in group_clicks(events).items():
+        if len(clicks) < 2:
+            continue
+        nq = normalize_query(query)
+        for pair in ranked_pairs(clicks):
+            agg = aggregates.get(pair)
+            if agg is None:
+                agg = aggregates[pair] = PairAggregate(*pair)
+            counts = agg.query_counts
+            counts[nq] = counts.get(nq, 0) + 1
+    return aggregates
 
 
 def write_aggregates(aggregates: dict[PairKey, PairAggregate], fh: IO[str]) -> None:
@@ -194,22 +215,42 @@ def write_aggregates(aggregates: dict[PairKey, PairAggregate], fh: IO[str]) -> N
 
 
 def read_aggregates(fh: IO[str]) -> dict[PairKey, PairAggregate]:
+    """Read aggregates written by :func:`write_aggregates`.
+
+    Raises :class:`DatasetError` with the line number for a record that is
+    not valid JSON or lacks a field, a count that is not an integer of at
+    least 1, a ``combined_clicks`` that is not the sum of the counts, and a
+    (seed_id, similar_id) pair already read.
+    """
     aggregates: dict[PairKey, PairAggregate] = {}
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
-            agg = PairAggregate(
-                record["seed_id"],
-                record["similar_id"],
-                {q: int(c) for q, c in record["query_counts"].items()},
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            agg = _parse_aggregate(line)
+        except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"bad aggregate record at line {lineno}: {exc}") from exc
-        aggregates[(agg.seed_id, agg.similar_id)] = agg
+        key = (agg.seed_id, agg.similar_id)
+        if key in aggregates:
+            raise DatasetError(f"duplicate aggregate pair {key} at line {lineno}")
+        aggregates[key] = agg
     return aggregates
+
+
+def _parse_aggregate(line: str) -> PairAggregate:
+    record = json.loads(line)
+    seed_id, similar_id = record["seed_id"], record["similar_id"]
+    query_counts, combined = record["query_counts"], record["combined_clicks"]
+    if not (isinstance(seed_id, str) and isinstance(similar_id, str) and isinstance(query_counts, dict)):
+        raise TypeError("seed_id and similar_id must be strings and query_counts an object")
+    for query, count in query_counts.items():
+        # bool is a subclass of int, but true is no count
+        if type(count) is not int or count < 1:
+            raise ValueError(f"count {count!r} for query {query!r} is not an integer >= 1")
+    if type(combined) is not int or combined != sum(query_counts.values()):
+        raise ValueError(f"combined_clicks {combined!r} is not the sum of the query counts")
+    return PairAggregate(seed_id, similar_id, query_counts)
 
 
 @dataclass(frozen=True)

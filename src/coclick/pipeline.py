@@ -42,6 +42,7 @@ class PipelineConfig:
     tagger_lr: float = 5e-3
     tagger_batch_size: int = 64
     tagger_eval_every: int = 100
+    # Read by no stage (ingest aggregates in one serial pass); perfbench records it.
     threads: int = 1
 
 
@@ -147,8 +148,7 @@ def run_pipeline(workdir: str | Path, config: PipelineConfig | None = None) -> P
     # ingest
     stats = ParseStats()
     with open(paths["raw_log"], encoding="utf-8") as fh:
-        parsed = list(parse_log(fh, stats))
-    aggregates = aggregate_sharded(parsed, max(1, config.threads))
+        aggregates = aggregate_sharded(parse_log(fh, stats))
     with open(paths["aggregates"], "w", encoding="utf-8") as fh:
         write_aggregates(aggregates, fh)
 

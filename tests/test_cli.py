@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import coclick
 from coclick.cli import main
 
 SYNTH_FLAGS = [
@@ -290,6 +294,29 @@ class TestExitCodes:
         assert code == 1
         assert "nope.tsv" in capsys.readouterr().err
 
+    def test_bad_aggregate_count_fails_build_without_traceback(self, workdir, tmp_path):
+        agg = tmp_path / "agg.jsonl"
+        agg.write_text(
+            '{"seed_id": "A", "similar_id": "B", "query_counts": {"q": 2}, "combined_clicks": 2}\n'
+            '{"seed_id": "A", "similar_id": "C", "query_counts": {"q": 1.7}, "combined_clicks": 1}\n',
+            encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "coclick.cli", "build",
+                "--aggregates", str(agg),
+                "--articles", str(workdir / "articles.tsv"),
+                "--out-prefix", str(tmp_path / "data"),
+            ],
+            env={**os.environ, "PYTHONPATH": str(Path(coclick.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_backend_without_companion_flag_is_usage_error(self, workdir, tmp_path, capsys):
         code = main([
             "explain", "--dataset", str(workdir / "data.test.jsonl"),
@@ -353,6 +380,28 @@ class TestDeterminism:
             "--out", str(out), "--threads", "3",
         ]) == 0
         assert out.read_bytes() == (workdir / "agg.jsonl").read_bytes()
+
+    def test_ingest_counts_crlf_log_with_every_malformed_kind(self, tmp_path, capsys):
+        log = tmp_path / "raw.tsv"
+        log.write_bytes(
+            b"s1\t1\tQ  One\t1\tP1\r\n"
+            b"s1\t2\tQ  One\t2\tP2\r\n"
+            b"s1\t3\tq one\t1\r\n"  # field count
+            b"s2\t4\tq two\tx\tP1\r\n"  # rank not an integer
+            b"s2\t5\tq two\t0\tP1\n"  # rank below 1
+            b"s2\t6\t \t1\tP1\r\n"  # empty query
+            b"\r\n"
+            b"s3\t7\tq two\t1\tP3\n"
+            b"s3\t8\tq two\t2\tP1\r\n"
+        )
+        out = tmp_path / "agg.jsonl"
+        assert main(["ingest", "--log", str(log), "--out", str(out)]) == 0
+        assert "parsed 4 events (4 malformed lines skipped), 2 coclicked pairs" in capsys.readouterr().out
+        records = [json.loads(line) for line in out.read_text("utf-8").splitlines()]
+        assert [(r["seed_id"], r["similar_id"], r["query_counts"]) for r in records] == [
+            ("P1", "P2", {"q one": 1}),
+            ("P3", "P1", {"q two": 1}),
+        ]
 
     def test_rerun_explain_is_byte_identical(self, workdir, tmp_path):
         out = tmp_path / "pred.again.jsonl"

@@ -1,8 +1,12 @@
 """Log parsing, coclick extraction, and aggregation tests."""
 
 import io
+import json
 import random
 
+import pytest
+
+from coclick.base import DatasetError
 from coclick.logs import (
     PairAggregate,
     ParseStats,
@@ -47,6 +51,26 @@ class TestParseLog:
         stats = ParseStats()
         assert list(parse_log(["s1\t100\tq\tone\tP1"], stats)) == []
         assert stats.malformed == 1
+
+    def test_event_is_immutable_with_named_fields(self):
+        event = make_event(session="s1", query="q", rank=2, article="P1", ts=7)
+        assert event == SessionEvent(session_id="s1", query="q", rank=2, article_id="P1", timestamp=7)
+        assert event != make_event(rank=3)
+        assert SessionEvent._fields == ("session_id", "query", "rank", "article_id", "timestamp")
+        with pytest.raises(AttributeError):
+            event.rank = 1
+
+    def test_stats_filled_when_stream_is_used_up_or_closed(self):
+        lines = ["s1\t1\tq\t1\tP1", "bad line", "s1\t2\tq\t2\tP2", "also bad"]
+        stats = ParseStats()
+        stream = parse_log(lines, stats)
+        next(stream)
+        next(stream)
+        stream.close()
+        assert (stats.parsed, stats.malformed) == (2, 1)
+        stats = ParseStats()
+        assert len(list(parse_log(lines, stats))) == 2
+        assert (stats.parsed, stats.malformed) == (2, 2)
 
     def test_mixed_stream_counts(self):
         lines = [
@@ -234,13 +258,16 @@ class TestMergeProperties:
             }
 
     def test_sharded_aggregate_matches_brute_force_recount(self):
+        # random_events interleaves sessions, so no group is contiguous; the
+        # one-shot iterator checks that a single streamed pass suffices.
         rng = random.Random(5)
         for _ in range(20):
             events = random_events(rng, rng.randint(0, 100))
             expected = brute_force_counts(events)
-            for shards in (1, 2, 5):
-                got = aggregate_sharded(events, shards)
+            for stream in (events, iter(events)):
+                got = aggregate_sharded(stream)
                 assert {k: v.query_counts for k, v in got.items()} == expected
+            assert {k: v.query_counts for k, v in aggregate_pairs(extract_coclicks(events)).items()} == expected
 
     def test_combined_clicks_equals_instance_count(self):
         rng = random.Random(17)
@@ -275,3 +302,40 @@ class TestAggregateIO:
         write_aggregates(agg, buf)
         lines = buf.getvalue().splitlines()
         assert '"seed_id": "P1"' in lines[0]
+
+    def _read(self, *records):
+        return read_aggregates(io.StringIO("".join(json.dumps(r) + "\n" for r in records)))
+
+    def test_combined_clicks_checked_against_counts(self):
+        good = {"seed_id": "P1", "similar_id": "P2", "query_counts": {"q": 2, "r": 1}, "combined_clicks": 3}
+        assert self._read(good)[("P1", "P2")].query_counts == {"q": 2, "r": 1}
+        with pytest.raises(DatasetError, match="line 1: combined_clicks 99"):
+            self._read({**good, "combined_clicks": 99})
+
+    @pytest.mark.parametrize(
+        "counts",
+        [{"q": 1.7}, {"q": 2.0}, {"q": True}, {"q": -3}, {"q": 0}, {"q": "2"}, {"q": None}],
+    )
+    def test_non_integer_or_non_positive_count_rejected(self, counts):
+        good = {"seed_id": "P0", "similar_id": "P1", "query_counts": {"a": 1}, "combined_clicks": 1}
+        bad = {"seed_id": "P1", "similar_id": "P2", "query_counts": counts, "combined_clicks": 1}
+        with pytest.raises(DatasetError, match="line 2: count"):
+            self._read(good, bad)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"seed_id": "P1", "similar_id": "P2", "query_counts": {"q": 1}},
+            {"seed_id": "P1", "similar_id": "P2", "query_counts": [1], "combined_clicks": 1},
+            {"seed_id": ["P1"], "similar_id": "P2", "query_counts": {"q": 1}, "combined_clicks": 1},
+            ["P1", "P2"],
+        ],
+    )
+    def test_malformed_record_rejected(self, record):
+        with pytest.raises(DatasetError, match="line 1"):
+            self._read(record)
+
+    def test_duplicate_pair_rejected(self):
+        record = {"seed_id": "P1", "similar_id": "P2", "query_counts": {"q": 1}, "combined_clicks": 1}
+        with pytest.raises(DatasetError, match="duplicate .* line 2"):
+            self._read(record, {**record, "query_counts": {"r": 1}})
