@@ -56,21 +56,12 @@ from .logs import (
     SessionEvent,
     aggregate_pairs,
     extract_coclicks,
-    merge_aggregates,
     parse_log,
 )
 from .pipeline import PipelineConfig, benchmark_config, run_pipeline
 from .scoring import IdfTable, compute_idf
 from .synth import SynthConfig, generate_corpus, generate_sessions
-from .tagger import TokenTagger, build_tagged_input, forward, loss_and_grad
-from .text import (
-    SubwordAlignment,
-    SubwordVocab,
-    WordToken,
-    build_subword_vocab,
-    project_labels,
-    subword_tokenize,
-    word_tokenize,
-)
+from .tagger import TokenTagger, forward, loss_and_grad
+from .text import WordToken, word_tokenize
 
 __version__ = "0.1.0"

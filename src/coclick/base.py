@@ -78,11 +78,6 @@ def check_fitted(estimator: Any, attribute: str) -> None:
         )
 
 
-def check_positive(value: float, name: str) -> None:
-    if not value > 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
-
-
 def check_ratios(ratios: tuple[float, ...]) -> None:
     if any(r < 0 for r in ratios):
         raise ConfigError(f"split ratios must be non-negative, got {ratios}")

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .base import CoclickError, ConfigError
-from .dataset import BuildConfig, build_examples, load_dataset, split_dataset, write_dataset
+from .dataset import BuildConfig, load_dataset
 from .evaluate import (
     load_pair_scores,
     metrics_rows,
@@ -34,17 +34,15 @@ from .explain import (
     load_stopwords,
     predict_dataset,
 )
-from .logs import (
-    ParseStats,
-    aggregate_sharded,
-    parse_log,
-    read_aggregates,
-    read_metadata,
-    write_aggregates,
-    write_events,
-    write_metadata,
+from .logs import read_metadata
+from .pipeline import (
+    corpus_documents,
+    run_build,
+    run_ingest,
+    run_synth,
+    run_train,
+    title_documents,
 )
-from .pipeline import corpus_documents, title_documents
 from .report import (
     corpus_stats,
     emit_ab_study,
@@ -54,9 +52,14 @@ from .report import (
     write_csv,
 )
 from .scoring import compute_idf
-from .synth import SynthConfig, generate_corpus, generate_sessions, write_truth
+from .synth import SynthConfig
 from .tagger import TokenTagger
 from .text import positions_of
+
+# Not called here: perfbench/tracing.py wraps these stage functions on
+# coclick.cli as well as on coclick.pipeline, and fails if one is missing.
+from .dataset import build_examples, split_dataset, write_dataset  # noqa: F401
+from .logs import aggregate_sharded, parse_log, read_aggregates, write_aggregates  # noqa: F401
 
 
 class UsageError(CoclickError):
@@ -230,12 +233,6 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _open_required(path: str):
-    if not Path(path).exists():
-        raise FileNotFoundError(f"input file not found: {path}")
-    return open(path, encoding="utf-8")
-
-
 def cmd_synth(args) -> int:
     config = SynthConfig(
         n_articles=args.n_articles,
@@ -255,38 +252,21 @@ def cmd_synth(args) -> int:
         query_size_weights=tuple(args.query_sizes),
         rng_seed=args.seed,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = generate_corpus(config)
-    events = generate_sessions(corpus, config)
-    with open(out_dir / "raw_log.tsv", "w", encoding="utf-8") as fh:
-        write_events(events, fh)
-    with open(out_dir / "articles.tsv", "w", encoding="utf-8") as fh:
-        write_metadata(corpus.articles, fh)
-    with open(out_dir / "truth.jsonl", "w", encoding="utf-8") as fh:
-        write_truth(corpus, fh)
-    print(f"wrote {len(events)} events for {len(corpus.articles)} articles to {out_dir}")
+    n_events, n_articles = run_synth(args.out_dir, config)
+    print(f"wrote {n_events} events for {n_articles} articles to {Path(args.out_dir)}")
     return 0
 
 
 def cmd_ingest(args) -> int:
-    stats = ParseStats()
-    with _open_required(args.log) as fh:
-        aggregates = aggregate_sharded(parse_log(fh, stats))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        write_aggregates(aggregates, fh)
+    stats, n_pairs = run_ingest(args.log, args.out)
     print(
         f"parsed {stats.parsed} events ({stats.malformed} malformed lines skipped), "
-        f"{len(aggregates)} coclicked pairs -> {args.out}"
+        f"{n_pairs} coclicked pairs -> {args.out}"
     )
     return 0
 
 
 def cmd_build(args) -> int:
-    with _open_required(args.aggregates) as fh:
-        aggregates = read_aggregates(fh)
-    with _open_required(args.articles) as fh:
-        articles = read_metadata(fh)
     config = BuildConfig(
         gold_threshold=args.p,
         cap_fraction=args.cap,
@@ -294,26 +274,15 @@ def cmd_build(args) -> int:
         min_title_len=args.min_title_len,
         min_nonzero=args.min_nonzero,
     )
-    examples, drops = build_examples(aggregates, articles, config)
-    splits = split_dataset(examples, tuple(args.ratios), args.seed)
-    for name, part in splits.items():
-        path = f"{args.out_prefix}.{name}.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            write_dataset(part, fh)
-        print(f"{name}: {len(part)} examples -> {path}")
-    print(f"kept {len(examples)} of {len(aggregates)} pairs; drops: {json.dumps(drops, sort_keys=True)}")
+    summary = run_build(args.aggregates, args.articles, args.out_prefix, config, tuple(args.ratios), args.seed)
+    for name, path in summary.split_paths.items():
+        print(f"{name}: {summary.split_sizes[name]} examples -> {path}")
+    kept = sum(summary.split_sizes.values())
+    print(f"kept {kept} of {summary.n_pairs} pairs; drops: {json.dumps(summary.drops, sort_keys=True)}")
     return 0
 
 
 def cmd_train(args) -> int:
-    with _open_required(args.train_path) as fh:
-        train = load_dataset(fh)
-    dev = None
-    if args.dev_path:
-        with _open_required(args.dev_path) as fh:
-            dev = load_dataset(fh)
-    with _open_required(args.articles) as fh:
-        articles = read_metadata(fh)
     tagger = TokenTagger(
         lr=args.lr,
         beta1=args.beta1,
@@ -326,19 +295,12 @@ def cmd_train(args) -> int:
         decision_threshold=args.decision_threshold,
         merge_seed_features=args.merge_seed_features,
         max_len=args.max_len,
-        idf=compute_idf(title_documents(articles)),
-        stopwords=load_stopwords(),
     )
-    metrics_fh = open(args.metrics_log, "w", encoding="utf-8") if args.metrics_log else None
-    try:
-        tagger.fit(train, dev, metrics_log=metrics_fh)
-    finally:
-        if metrics_fh:
-            metrics_fh.close()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        tagger.save(fh)
-    best = f", best dev F1 at step {tagger.step_}" if dev else ""
-    print(f"trained on {len(train)} examples{best} -> {args.out}")
+    n_train, n_dev = run_train(
+        args.train_path, args.dev_path, args.articles, args.out, args.metrics_log, tagger
+    )
+    best = f", best dev F1 at step {tagger.step_}" if n_dev else ""
+    print(f"trained on {n_train} examples{best} -> {args.out}")
     return 0
 
 
@@ -346,7 +308,7 @@ def _build_backend(args):
     stopwords = load_stopwords(args.stopwords) if args.stopwords else load_stopwords()
     articles = None
     if args.articles:
-        with _open_required(args.articles) as fh:
+        with open(args.articles, encoding="utf-8") as fh:
             articles = read_metadata(fh)
 
     def require_articles(backend_name):
@@ -370,20 +332,20 @@ def _build_backend(args):
     if args.backend == "embed":
         if not args.embeddings:
             raise UsageError("--backend embed requires --embeddings")
-        with _open_required(args.embeddings) as fh:
+        with open(args.embeddings, encoding="utf-8") as fh:
             table = load_embeddings(fh)
         return EmbeddingRelevance(table, **selection)
     if args.backend == "external":
         if not args.scores:
             raise UsageError("--backend external requires --scores")
-        with _open_required(args.scores) as fh:
+        with open(args.scores, encoding="utf-8") as fh:
             scores = load_external_scores(fh)
         return ExternalScores(scores, generative=args.generative, **selection)
     if args.backend == "tagger":
         if not args.checkpoint:
             raise UsageError("--backend tagger requires --checkpoint")
         require_articles("tagger")
-        with _open_required(args.checkpoint) as fh:
+        with open(args.checkpoint, encoding="utf-8") as fh:
             return TokenTagger.load(
                 fh, idf=compute_idf(title_documents(articles)), stopwords=stopwords
             )
@@ -391,7 +353,7 @@ def _build_backend(args):
 
 
 def cmd_explain(args) -> int:
-    with _open_required(args.dataset) as fh:
+    with open(args.dataset, encoding="utf-8") as fh:
         examples = load_dataset(fh)
     backend = _build_backend(args)
     predictions, skipped = predict_dataset(backend, examples)
@@ -417,7 +379,7 @@ def cmd_explain(args) -> int:
 
 def load_predictions(path: str) -> dict:
     predictions = {}
-    with _open_required(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -431,7 +393,7 @@ def load_predictions(path: str) -> dict:
 
 
 def cmd_eval(args) -> int:
-    with _open_required(args.dataset) as fh:
+    with open(args.dataset, encoding="utf-8") as fh:
         examples = load_dataset(fh)
     strata = None
     if args.strata == "clicks":
@@ -439,7 +401,7 @@ def cmd_eval(args) -> int:
     elif args.strata == "similarity":
         if not args.pair_scores:
             return _usage_error("--strata similarity requires --pair-scores")
-        with _open_required(args.pair_scores) as fh:
+        with open(args.pair_scores, encoding="utf-8") as fh:
             scores = load_pair_scores(fh)
         strata, _ = stratify_by_similarity(examples, scores)
     granularities = ("token", "title") if args.granularity == "both" else (args.granularity,)
@@ -460,7 +422,7 @@ def cmd_report(args) -> int:
     if args.kind == "cases":
         if not (args.dataset and args.pred):
             return _usage_error("--kind cases requires --dataset and --pred")
-        with _open_required(args.dataset) as fh:
+        with open(args.dataset, encoding="utf-8") as fh:
             examples = load_dataset(fh)
         model_preds = {name: load_predictions(path) for name, path in args.pred}
         blocks = []
@@ -477,7 +439,7 @@ def cmd_report(args) -> int:
     if args.kind == "ab":
         if not (args.dataset and args.pred_a and args.pred_b and args.sheet and args.key):
             return _usage_error("--kind ab requires --dataset, --pred-a, --pred-b, --sheet, --key")
-        with _open_required(args.dataset) as fh:
+        with open(args.dataset, encoding="utf-8") as fh:
             examples = load_dataset(fh)
         name_a, path_a = args.pred_a
         name_b, path_b = args.pred_b
@@ -494,7 +456,7 @@ def cmd_report(args) -> int:
     if args.kind == "stats":
         if not args.dataset:
             return _usage_error("--kind stats requires --dataset")
-        with _open_required(args.dataset) as fh:
+        with open(args.dataset, encoding="utf-8") as fh:
             examples = load_dataset(fh)
         text = json.dumps(corpus_stats(examples), indent=2, sort_keys=True)
         _write_or_print(text, args.out)
@@ -503,9 +465,9 @@ def cmd_report(args) -> int:
     if args.kind == "tally":
         if not (args.choices and args.key):
             return _usage_error("--kind tally requires --choices and --key")
-        with _open_required(args.choices) as fh:
+        with open(args.choices, encoding="utf-8") as fh:
             choices = read_csv(fh)
-        with _open_required(args.key) as fh:
+        with open(args.key, encoding="utf-8") as fh:
             key_rows = read_csv(fh)
         tallies = tally_preferences(choices, key_rows)
         text = json.dumps(tallies, indent=2, sort_keys=True)

@@ -9,8 +9,6 @@ one record per (seed, similar) pair holding a normalized-query -> count map.
 Ingest is one streamed pass: ``aggregate_sharded(parse_log(lines))`` holds a
 (rank, article_id) list per (session, query) group, never the events
 themselves, and counts each group's pairs straight into the aggregates.
-Aggregates are a pointwise sum, so ``merge_aggregates`` reduces maps built
-from disjoint sets of groups in any order to the same result.
 """
 
 from __future__ import annotations
@@ -162,21 +160,6 @@ def aggregate_pairs(instances: Iterable[CoclickInstance]) -> dict[PairKey, PairA
         nq = normalize_query(inst.query)
         agg.query_counts[nq] = agg.query_counts.get(nq, 0) + 1
     return aggregates
-
-
-def merge_aggregates(
-    a: dict[PairKey, PairAggregate], b: dict[PairKey, PairAggregate]
-) -> dict[PairKey, PairAggregate]:
-    """Pointwise sum of two aggregate maps; associative and commutative."""
-    merged: dict[PairKey, PairAggregate] = {}
-    for source in (a, b):
-        for key, agg in source.items():
-            target = merged.get(key)
-            if target is None:
-                target = merged[key] = PairAggregate(agg.seed_id, agg.similar_id)
-            for query, count in agg.query_counts.items():
-                target.query_counts[query] = target.query_counts.get(query, 0) + count
-    return merged
 
 
 def aggregate_sharded(events: Iterable[SessionEvent]) -> dict[PairKey, PairAggregate]:

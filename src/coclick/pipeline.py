@@ -1,4 +1,9 @@
-"""End-to-end wiring: synth -> ingest -> build -> train -> explain -> eval.
+"""The pipeline stages, one function each, and their end-to-end wiring.
+
+``run_synth``, ``run_ingest``, ``run_build`` and ``run_train`` read and write
+the stage files; the ``coclick`` subcommands call them with paths from
+flags, and ``run_pipeline`` chains them through one work directory and then
+explains and evaluates in process.
 
 Also defines the default desk-scale benchmark configuration: a calibrated
 synthetic world small enough to run in well under two minutes while keeping
@@ -8,16 +13,17 @@ the click-count labeler's softmax margins wide enough for clean gold sets.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import BuildConfig, PairExample, build_examples, load_dataset, split_dataset, write_dataset
+from .dataset import BuildConfig, build_examples, load_dataset, split_dataset, write_dataset
 from .evaluate import MetricsRow, metrics_rows, stratify_by_clicks, write_metrics_csv
 from .explain import Bm25, Explainer, HighlightAll, Overlapper, load_stopwords, predict_dataset
 from .logs import (
+    ParseStats,
     aggregate_sharded,
     parse_log,
-    ParseStats,
     read_aggregates,
     read_metadata,
     write_aggregates,
@@ -115,13 +121,107 @@ def default_backends(articles: dict, tagger: TokenTagger | None = None) -> list[
     return backends
 
 
+def run_synth(out_dir: str | Path, config: SynthConfig) -> tuple[int, int]:
+    """Write ``raw_log.tsv``, ``articles.tsv`` and ``truth.jsonl`` into ``out_dir``.
+
+    Returns the event and article counts, not the events, so that later
+    stages do not hold the event list.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    corpus = generate_corpus(config)
+    events = generate_sessions(corpus, config)
+    with open(out_dir / "raw_log.tsv", "w", encoding="utf-8") as fh:
+        write_events(events, fh)
+    with open(out_dir / "articles.tsv", "w", encoding="utf-8") as fh:
+        write_metadata(corpus.articles, fh)
+    with open(out_dir / "truth.jsonl", "w", encoding="utf-8") as fh:
+        write_truth(corpus, fh)
+    return len(events), len(corpus.articles)
+
+
+def run_ingest(log_path: str | Path, out_path: str | Path) -> tuple[ParseStats, int]:
+    """Stream the raw log into pair aggregates; returns the parse tallies and pair count."""
+    stats = ParseStats()
+    with open(log_path, encoding="utf-8") as fh:
+        aggregates = aggregate_sharded(parse_log(fh, stats))
+    with open(out_path, "w", encoding="utf-8") as fh:
+        write_aggregates(aggregates, fh)
+    return stats, len(aggregates)
+
+
+@dataclass
+class BuildSummary:
+    """What ``run_build`` read, dropped and wrote."""
+
+    n_pairs: int
+    drops: dict[str, int]
+    split_paths: dict[str, str]
+    split_sizes: dict[str, int]
+
+
+def run_build(
+    aggregates_path: str | Path,
+    articles_path: str | Path,
+    out_prefix: str | Path,
+    config: BuildConfig,
+    ratios: tuple[float, float, float],
+    seed: int,
+) -> BuildSummary:
+    """Label and filter the aggregates, then write ``<out_prefix>.<split>.jsonl``."""
+    with open(aggregates_path, encoding="utf-8") as fh:
+        aggregates = read_aggregates(fh)
+    with open(articles_path, encoding="utf-8") as fh:
+        articles = read_metadata(fh)
+    examples, drops = build_examples(aggregates, articles, config)
+    splits = split_dataset(examples, ratios, seed)
+    paths = {name: f"{out_prefix}.{name}.jsonl" for name in splits}
+    for name, part in splits.items():
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            write_dataset(part, fh)
+    return BuildSummary(
+        n_pairs=len(aggregates),
+        drops=drops,
+        split_paths=paths,
+        split_sizes={name: len(part) for name, part in splits.items()},
+    )
+
+
+def run_train(
+    train_path: str | Path,
+    dev_path: str | Path | None,
+    articles_path: str | Path,
+    out_path: str | Path,
+    metrics_log_path: str | Path | None,
+    tagger: TokenTagger,
+) -> tuple[int, int]:
+    """Fit ``tagger`` (hyperparameters set, idf taken from the article titles) and save it.
+
+    Returns the number of train and dev examples; with no dev examples the
+    last step's weights are kept.
+    """
+    with open(train_path, encoding="utf-8") as fh:
+        train = load_dataset(fh)
+    dev = []
+    if dev_path:
+        with open(dev_path, encoding="utf-8") as fh:
+            dev = load_dataset(fh)
+    with open(articles_path, encoding="utf-8") as fh:
+        articles = read_metadata(fh)
+    tagger.idf = compute_idf(title_documents(articles))
+    with (open(metrics_log_path, "w", encoding="utf-8") if metrics_log_path else nullcontext()) as log:
+        tagger.fit(train, dev, metrics_log=log)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        tagger.save(fh)
+    return len(train), len(dev)
+
+
 def run_pipeline(workdir: str | Path, config: PipelineConfig | None = None) -> PipelineResult:
     """Run every stage into ``workdir`` and return paths plus the metrics table."""
     if config is None:
         config = benchmark_config()
     started = time.monotonic()
     workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     paths = {
         "raw_log": workdir / "raw_log.tsv",
         "articles": workdir / "articles.tsv",
@@ -135,69 +235,40 @@ def run_pipeline(workdir: str | Path, config: PipelineConfig | None = None) -> P
         "metrics": workdir / "metrics.csv",
     }
 
-    # synth
-    corpus = generate_corpus(config.synth)
-    events = generate_sessions(corpus, config.synth)
-    with open(paths["raw_log"], "w", encoding="utf-8") as fh:
-        write_events(events, fh)
-    with open(paths["articles"], "w", encoding="utf-8") as fh:
-        write_metadata(corpus.articles, fh)
-    with open(paths["truth"], "w", encoding="utf-8") as fh:
-        write_truth(corpus, fh)
-
-    # ingest
-    stats = ParseStats()
-    with open(paths["raw_log"], encoding="utf-8") as fh:
-        aggregates = aggregate_sharded(parse_log(fh, stats))
-    with open(paths["aggregates"], "w", encoding="utf-8") as fh:
-        write_aggregates(aggregates, fh)
-
-    # build
-    with open(paths["articles"], encoding="utf-8") as fh:
-        articles = read_metadata(fh)
-    with open(paths["aggregates"], encoding="utf-8") as fh:
-        aggregates = read_aggregates(fh)
-    examples, drops = build_examples(aggregates, articles, config.build)
-    splits = split_dataset(examples, config.split_ratios, config.seed)
-    for name in ("train", "dev", "test"):
-        with open(paths[name], "w", encoding="utf-8") as fh:
-            write_dataset(splits[name], fh)
-
-    # train
-    splits = {name: _load(paths[name]) for name in ("train", "dev", "test")}
+    run_synth(workdir, config.synth)
+    run_ingest(paths["raw_log"], paths["aggregates"])
+    build = run_build(
+        paths["aggregates"], paths["articles"], workdir / "dataset",
+        config.build, config.split_ratios, config.seed,
+    )
     tagger = TokenTagger(
         lr=config.tagger_lr,
         total_steps=config.tagger_total_steps,
         batch_size=config.tagger_batch_size,
         eval_every=config.tagger_eval_every,
         rng_seed=config.seed,
-        idf=compute_idf(title_documents(articles)),
     )
-    with open(paths["train_log"], "w", encoding="utf-8") as fh:
-        tagger.fit(splits["train"], splits["dev"], metrics_log=fh)
-    with open(paths["checkpoint"], "w", encoding="utf-8") as fh:
-        tagger.save(fh)
+    run_train(paths["train"], paths["dev"], paths["articles"], paths["checkpoint"], paths["train_log"], tagger)
 
     # explain + eval on the held-out test split
+    with open(paths["articles"], encoding="utf-8") as fh:
+        articles = read_metadata(fh)
+    with open(paths["test"], encoding="utf-8") as fh:
+        test = load_dataset(fh)
     rows: list[MetricsRow] = []
-    strata = stratify_by_clicks(splits["test"])
+    strata = stratify_by_clicks(test)
     for backend in default_backends(articles, tagger):
-        predictions, _ = predict_dataset(backend, splits["test"])
-        rows.extend(metrics_rows(backend.name, splits["test"], predictions, strata=strata))
+        predictions, _ = predict_dataset(backend, test)
+        rows.extend(metrics_rows(backend.name, test, predictions, strata=strata))
     with open(paths["metrics"], "w", encoding="utf-8") as fh:
         write_metrics_csv(rows, fh)
 
     return PipelineResult(
         workdir=workdir,
         paths=paths,
-        n_pairs=len(aggregates),
-        drops=drops,
-        split_sizes={name: len(splits[name]) for name in splits},
+        n_pairs=build.n_pairs,
+        drops=build.drops,
+        split_sizes=build.split_sizes,
         metrics=rows,
         elapsed_seconds=time.monotonic() - started,
     )
-
-
-def _load(path: Path) -> list[PairExample]:
-    with open(path, encoding="utf-8") as fh:
-        return load_dataset(fh)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -26,15 +25,7 @@ from .dataset import PairExample
 from .evaluate import evaluate_predictions
 from .explain import EmbeddingTable, Explainer, load_stopwords
 from .scoring import IdfTable, compute_idf, cosine
-from .text import (
-    SEPARATOR,
-    SEQUENCE_START,
-    SubwordVocab,
-    align_words,
-    expand_labels,
-    positions_of,
-    project_labels,
-)
+from .text import positions_of
 
 FEATURES_SPLIT = (
     "in_seed_title",
@@ -61,49 +52,6 @@ FEATURES_MERGED = (
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
-class TaggedInput:
-    """The concatenated tagging sequence for one example.
-
-    Segment id 0 covers the start marker, the seed side, and the separator;
-    segment id 1 covers the similar title. Labels are 1 only on gold
-    similar-title tokens.
-    """
-
-    tokens: list[str]
-    segment_ids: list[int]
-    labels: list[int]
-    seed_title_len: int
-    seed_abstract_len: int
-
-
-def build_tagged_input(example: PairExample, max_len: int) -> TaggedInput:
-    """Concatenate [START] seed-title seed-abstract [SEP] similar-title.
-
-    The seed abstract (then, defensively, the seed title) is truncated from
-    the right to fit ``max_len``; the similar title is never truncated. An
-    example whose similar title alone cannot fit is rejected.
-    """
-    similar = [t.text for t in example.similar_title_tokens]
-    budget = max_len - 2 - len(similar)
-    if budget < 0:
-        raise DatasetError(
-            f"similar title of pair ({example.seed_id}, {example.similar_id}) has "
-            f"{len(similar)} tokens and cannot fit max_len={max_len}"
-        )
-    seed_title = [t.text for t in example.seed_title_tokens][:budget]
-    budget -= len(seed_title)
-    seed_abstract = [t.text for t in example.seed_abstract_tokens][:budget]
-
-    tokens = [SEQUENCE_START, *seed_title, *seed_abstract, SEPARATOR, *similar]
-    seed_len = 1 + len(seed_title) + len(seed_abstract) + 1
-    segment_ids = [0] * seed_len + [1] * len(similar)
-    labels = [0] * seed_len + [
-        1 if t.lower in example.gold_tokens else 0 for t in example.similar_title_tokens
-    ]
-    return TaggedInput(tokens, segment_ids, labels, len(seed_title), len(seed_abstract))
-
-
 def extract_features(
     example: PairExample,
     idf: IdfTable,
@@ -114,17 +62,22 @@ def extract_features(
 ) -> np.ndarray:
     """Feature matrix, one row per similar-title token.
 
-    Seed-membership features are computed over the truncated input the model
-    would actually see.
+    Seed-membership features see only the seed side that fits the model
+    input of ``max_len`` tokens: a start marker, the seed title and abstract,
+    a separator and the similar title. The seed abstract is cut from the
+    right first, then the seed title; the similar title is never cut, and an
+    example whose similar title alone cannot fit is rejected.
     """
-    tagged = build_tagged_input(example, max_len)
-    title_set = {t.lower() for t in tagged.tokens[1 : 1 + tagged.seed_title_len]}
-    abstract_start = 1 + tagged.seed_title_len
-    abstract_set = {
-        t.lower()
-        for t in tagged.tokens[abstract_start : abstract_start + tagged.seed_abstract_len]
-    }
-    seed_title_lower = [t.lower() for t in tagged.tokens[1 : 1 + tagged.seed_title_len]]
+    budget = max_len - 2 - len(example.similar_title_tokens)
+    if budget < 0:
+        raise DatasetError(
+            f"similar title of pair ({example.seed_id}, {example.similar_id}) has "
+            f"{len(example.similar_title_tokens)} tokens and cannot fit max_len={max_len}"
+        )
+    seed_title_lower = [t.lower for t in example.seed_title_tokens[:budget]]
+    budget -= len(seed_title_lower)
+    title_set = set(seed_title_lower)
+    abstract_set = {t.lower for t in example.seed_abstract_tokens[:budget]}
 
     n = len(example.similar_title_tokens)
     rows = []
@@ -399,18 +352,6 @@ class TokenTagger(Explainer):
     def predict_positions(self, example: PairExample) -> set[int]:
         """Title-level view: every position whose token is in the predicted set."""
         return positions_of(example.similar_title_tokens, self.predict(example))
-
-    def predict_via_subwords(self, example: PairExample, vocab: SubwordVocab) -> set[str]:
-        """Predict through the subword layer: expand word labels to subword
-        labels, then project back up with the any-vote rule. Equivalent to
-        :meth:`predict` by construction; exercised to pin the projection
-        contract end to end."""
-        probs = self.predict_proba(example)
-        words = [t.text for t in example.similar_title_tokens]
-        word_labels = [1 if p >= self.decision_threshold else 0 for p in probs]
-        alignment = align_words(words, vocab)
-        selected = project_labels(alignment, expand_labels(alignment, word_labels))
-        return {example.similar_title_tokens[i].lower for i in selected}
 
     def save(self, fh: IO[str]) -> None:
         check_fitted(self, "weights_")

@@ -1,31 +1,19 @@
-"""Word tokenization, subword tokenization, and label projection.
+"""Word tokenization.
 
 The word tokenizer is a small deterministic rule set: split on whitespace,
 then peel leading/trailing punctuation into standalone tokens. Hyphenated
 compounds ("low-fat", "Covid-19") stay intact, and internal apostrophes
 survive ("don't"). Both dataset construction and evaluation run through
 this one tokenizer, so the system stays internally consistent.
-
-The subword side is a greedy longest-match piece tokenizer over a
-frequency-built vocabulary, plus the up/down label projections between
-subword and word granularity.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-from .base import ConfigError
+from dataclasses import dataclass
+from typing import Sequence
 
 # Punctuation peeled off token edges; internal occurrences are kept.
 EDGE_PUNCT = set(".,;:!?\"'()[]")
-
-# Marker pieces reserved at the head of every vocabulary file.
-SEQUENCE_START = "[START]"
-SEPARATOR = "[SEP]"
-CONTINUATION = "##"
 
 
 @dataclass(frozen=True)
@@ -81,10 +69,6 @@ def _split_chunk(text: str, start: int, end: int, out: list[WordToken]) -> None:
         out.append(WordToken(text[i], i, i + 1, len(out)))
 
 
-def lower_texts(tokens: Sequence[WordToken]) -> list[str]:
-    return [t.lower for t in tokens]
-
-
 def unique_lower(tokens: Sequence[WordToken]) -> list[str]:
     """Unique lowercase token texts in first-occurrence order."""
     seen: dict[str, None] = {}
@@ -96,186 +80,3 @@ def unique_lower(tokens: Sequence[WordToken]) -> list[str]:
 def positions_of(tokens: Sequence[WordToken], selected: set[str]) -> set[int]:
     """Every position whose lowercase token is in ``selected``."""
     return {t.word_index for t in tokens if t.lower in selected}
-
-
-@dataclass
-class SubwordVocab:
-    """Piece inventory for greedy longest-match subword tokenization.
-
-    ``pieces`` holds word-initial forms as-is and continuation forms with
-    the ``##`` prefix. Every character seen at build time is present in both
-    forms, so tokenizing any in-corpus word always succeeds.
-    """
-
-    pieces: set[str] = field(default_factory=set)
-    sequence_start: str = SEQUENCE_START
-    separator: str = SEPARATOR
-
-    def __contains__(self, piece: str) -> bool:
-        return piece in self.pieces
-
-    def __len__(self) -> int:
-        return len(self.pieces) + 2  # reserved markers
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.sequence_start + "\n")
-            fh.write(self.separator + "\n")
-            for piece in sorted(self.pieces):
-                fh.write(piece + "\n")
-
-    @classmethod
-    def load(cls, path) -> "SubwordVocab":
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-        if len(lines) < 2:
-            raise ConfigError(f"vocabulary file {path} is missing reserved markers")
-        return cls(
-            pieces=set(line for line in lines[2:] if line),
-            sequence_start=lines[0],
-            separator=lines[1],
-        )
-
-
-def build_subword_vocab(
-    words: Iterable[str], max_size: int, min_count: int = 2
-) -> SubwordVocab:
-    """Build a subword vocabulary from a corpus of words.
-
-    All single characters are always included (in both initial and
-    continuation form) so tokenization can fall back to characters. Longer
-    substrings are admitted by frequency: a substring seen at least
-    ``min_count`` times (weighted by word frequency) becomes a piece, in its
-    initial form when it occurs word-initially and in its ``##`` form when it
-    occurs inside a word. Highest-frequency pieces win under ``max_size``.
-    """
-    word_counts = Counter(words)
-    chars: set[str] = set()
-    initial_counts: Counter[str] = Counter()
-    cont_counts: Counter[str] = Counter()
-    for word, wcount in word_counts.items():
-        chars.update(word)
-        for i in range(len(word)):
-            for j in range(i + 1, len(word) + 1):
-                sub = word[i:j]
-                if len(sub) == 1:
-                    continue
-                if i == 0:
-                    initial_counts[sub] += wcount
-                else:
-                    cont_counts[sub] += wcount
-
-    mandatory: set[str] = set()
-    for c in sorted(chars):
-        mandatory.add(c)
-        mandatory.add(CONTINUATION + c)
-    if max_size < len(mandatory) + 2:
-        raise ConfigError(
-            f"max_size={max_size} cannot hold {len(mandatory)} character pieces "
-            "plus 2 reserved markers"
-        )
-
-    candidates: list[tuple[int, str]] = []
-    for sub, count in initial_counts.items():
-        if count >= min_count:
-            candidates.append((count, sub))
-    for sub, count in cont_counts.items():
-        if count >= min_count:
-            candidates.append((count, CONTINUATION + sub))
-    candidates.sort(key=lambda item: (-item[0], item[1]))
-
-    pieces = set(mandatory)
-    budget = max_size - 2 - len(pieces)
-    for _, piece in candidates:
-        if budget <= 0:
-            break
-        if piece not in pieces:
-            pieces.add(piece)
-            budget -= 1
-    return SubwordVocab(pieces=pieces)
-
-
-def subword_tokenize(word: str, vocab: SubwordVocab) -> list[str]:
-    """Split ``word`` into vocabulary pieces by greedy longest-prefix match.
-
-    Characters never seen at build time pass through as single-char pieces,
-    so this never fails; stripping ``##`` markers and concatenating always
-    reproduces ``word``.
-    """
-    pieces: list[str] = []
-    start = 0
-    n = len(word)
-    while start < n:
-        end = n
-        match = None
-        while end > start:
-            sub = word[start:end]
-            candidate = sub if start == 0 else CONTINUATION + sub
-            if candidate in vocab:
-                match = candidate
-                break
-            end -= 1
-        if match is None:
-            # Unknown character: emit it raw (with marker when word-internal).
-            sub = word[start]
-            match = sub if start == 0 else CONTINUATION + sub
-            end = start + 1
-        pieces.append(match)
-        start = end
-    return pieces
-
-
-def join_subwords(pieces: Sequence[str]) -> str:
-    """Inverse of :func:`subword_tokenize`."""
-    return "".join(
-        p[len(CONTINUATION):] if p.startswith(CONTINUATION) else p for p in pieces
-    )
-
-
-@dataclass
-class SubwordAlignment:
-    """Subword sequence for a word sequence, with the owning word of each piece."""
-
-    subwords: list[str]
-    word_of_subword: list[int]
-
-    def __post_init__(self) -> None:
-        if len(self.subwords) != len(self.word_of_subword):
-            raise ValueError("subwords and word_of_subword must have equal length")
-        for prev, cur in zip(self.word_of_subword, self.word_of_subword[1:]):
-            if cur < prev:
-                raise ValueError("word_of_subword must be non-decreasing")
-
-
-def align_words(words: Sequence[str], vocab: SubwordVocab) -> SubwordAlignment:
-    """Tokenize each word and record which word each subword came from."""
-    subwords: list[str] = []
-    owners: list[int] = []
-    for idx, word in enumerate(words):
-        for piece in subword_tokenize(word, vocab):
-            subwords.append(piece)
-            owners.append(idx)
-    return SubwordAlignment(subwords, owners)
-
-
-def project_labels(
-    alignment: SubwordAlignment, subword_labels: Sequence[int]
-) -> set[int]:
-    """Lift binary subword labels to word indices.
-
-    A word is selected when any of its subwords is labeled 1.
-    """
-    if len(subword_labels) != len(alignment.subwords):
-        raise ValueError(
-            f"got {len(subword_labels)} labels for {len(alignment.subwords)} subwords"
-        )
-    return {
-        alignment.word_of_subword[i]
-        for i, label in enumerate(subword_labels)
-        if label == 1
-    }
-
-
-def expand_labels(alignment: SubwordAlignment, word_labels: Sequence[int]) -> list[int]:
-    """Push binary word labels down to subwords (every piece inherits its word's label)."""
-    return [word_labels[w] for w in alignment.word_of_subword]

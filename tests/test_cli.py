@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 
 import coclick
+import coclick.cli
+import coclick.pipeline
 from coclick.cli import main
+from coclick.dataset import BuildConfig
+from coclick.pipeline import PipelineConfig, run_pipeline
+from coclick.synth import SynthConfig
 
 SYNTH_FLAGS = [
     "--n-articles", "40",
@@ -23,6 +28,22 @@ SYNTH_FLAGS = [
     "--clicks-dist", "0.1,0.5,0.4",
     "--seed", "0",
 ]
+
+
+def fixture_config():
+    """The ``run_pipeline`` config that matches the ``workdir`` fixture's flags."""
+    synth = SynthConfig(
+        n_articles=40,
+        cluster_size=4,
+        topics_per_cluster=3,
+        extra_topic_prob=1.0,
+        title_len=(9, 13, 11),
+        sessions=8000,
+        same_cluster_bias=0.95,
+        clicks_dist=(0.1, 0.5, 0.4),
+        rng_seed=0,
+    )
+    return PipelineConfig(seed=0, synth=synth, build=BuildConfig(gold_threshold=0.11), tagger_total_steps=300)
 
 
 @pytest.fixture(scope="module")
@@ -426,3 +447,71 @@ class TestEmptyInputs:
         ])
         assert code == 1
         assert "empty" in capsys.readouterr().err
+
+
+class TestFrontDoorsAgree:
+    def test_run_pipeline_writes_the_cli_bytes(self, workdir, tmp_path):
+        result = run_pipeline(tmp_path, fixture_config())
+        cli_names = {
+            "raw_log": "raw_log.tsv",
+            "articles": "articles.tsv",
+            "truth": "truth.jsonl",
+            "aggregates": "agg.jsonl",
+            "train": "data.train.jsonl",
+            "dev": "data.dev.jsonl",
+            "test": "data.test.jsonl",
+            "train_log": "train_log.csv",
+            "checkpoint": "tagger.json",
+        }
+        for key, name in cli_names.items():
+            assert result.paths[key].read_bytes() == (workdir / name).read_bytes(), key
+
+
+class TestTracerLookupSites:
+    """perfbench/tracing.py wraps stage functions where the CLI and the pipeline look them up."""
+
+    @pytest.fixture
+    def tracing(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import tracing
+
+        return tracing
+
+    @staticmethod
+    def children(spans, name):
+        parent = next(i for i, s in enumerate(spans) if s.name == name)
+        return [s.name for s in spans if s.parent == parent]
+
+    def test_cli_ingest_and_build_spans(self, tracing, workdir, tmp_path):
+        wrapped = {
+            coclick.cli: ("cmd_ingest", "cmd_build", "parse_log", "aggregate_sharded", "build_examples"),
+            coclick.pipeline: ("parse_log", "aggregate_sharded", "read_aggregates", "build_examples"),
+        }
+        originals = {(mod, n): getattr(mod, n) for mod, names in wrapped.items() for n in names}
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            assert main([
+                "ingest", "--log", str(workdir / "raw_log.tsv"), "--out", str(tmp_path / "agg.jsonl"),
+            ]) == 0
+            assert main([
+                "build",
+                "--aggregates", str(tmp_path / "agg.jsonl"),
+                "--articles", str(workdir / "articles.tsv"),
+                "--out-prefix", str(tmp_path / "data"),
+                "--p", "0.11",
+            ]) == 0
+        spans = tracer.spans
+        assert self.children(spans, "cli.ingest") == ["logs.aggregate", "logs.write_aggregates"]
+        assert self.children(spans, "logs.aggregate") == ["logs.parse"]
+        assert self.children(spans, "cli.build") == [
+            "logs.read_aggregates", "dataset.build", "dataset.split",
+            "dataset.write", "dataset.write", "dataset.write",
+        ]
+        assert all(getattr(mod, n) is fn for (mod, n), fn in originals.items())
+
+    def test_run_pipeline_spans(self, tracing, tmp_path):
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            coclick.pipeline.run_pipeline(tmp_path, fixture_config())
+        names = {s.name for s in tracer.spans}
+        assert {"synth.generate_sessions", "logs.parse", "dataset.build", "tagger.fit"} <= names

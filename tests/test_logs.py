@@ -14,7 +14,6 @@ from coclick.logs import (
     aggregate_pairs,
     aggregate_sharded,
     extract_coclicks,
-    merge_aggregates,
     normalize_query,
     parse_log,
     read_aggregates,
@@ -193,18 +192,6 @@ class TestAggregation:
     def test_empty_instances(self):
         assert aggregate_pairs([]) == {}
 
-    def test_merge_sums_pointwise(self):
-        a = {("P1", "P2"): PairAggregate("P1", "P2", {"q": 2})}
-        b = {("P1", "P2"): PairAggregate("P1", "P2", {"q": 3})}
-        merged = merge_aggregates(a, b)
-        assert merged[("P1", "P2")].query_counts == {"q": 5}
-
-    def test_merge_identity(self):
-        a = {("P1", "P2"): PairAggregate("P1", "P2", {"q": 2})}
-        merged = merge_aggregates(a, {})
-        assert merged[("P1", "P2")].query_counts == {"q": 2}
-        assert merge_aggregates({}, {}) == {}
-
 
 def random_events(rng, n):
     events = []
@@ -243,20 +230,6 @@ def brute_force_counts(events):
 
 
 class TestMergeProperties:
-    def test_merge_commutative_on_fuzzed_inputs(self):
-        rng = random.Random(99)
-        for _ in range(30):
-            events = random_events(rng, rng.randint(0, 60))
-            cut = rng.randint(0, len(events))
-            # shard on group boundaries so both orders see whole groups
-            a = aggregate_pairs(extract_coclicks(events[:cut]))
-            b = aggregate_pairs(extract_coclicks(events[cut:]))
-            ab = merge_aggregates(a, b)
-            ba = merge_aggregates(b, a)
-            assert {k: v.query_counts for k, v in ab.items()} == {
-                k: v.query_counts for k, v in ba.items()
-            }
-
     def test_sharded_aggregate_matches_brute_force_recount(self):
         # random_events interleaves sessions, so no group is contiguous; the
         # one-shot iterator checks that a single streamed pass suffices.

@@ -1,4 +1,4 @@
-"""Tagger tests: input building, model math, training, prediction, checkpoints."""
+"""Tagger tests: input truncation, model math, training, prediction, checkpoints."""
 
 import io
 import math
@@ -13,7 +13,6 @@ from coclick.tagger import (
     FEATURES_MERGED,
     FEATURES_SPLIT,
     TokenTagger,
-    build_tagged_input,
     extract_features,
     forward,
     loss_and_grad,
@@ -21,7 +20,7 @@ from coclick.tagger import (
     title_labels,
 )
 from coclick.scoring import compute_idf
-from coclick.text import build_subword_vocab, word_tokenize
+from coclick.text import word_tokenize
 
 
 def make_example(seed_title, similar_title, seed_abstract="", gold=(), pair=("S1", "T1")):
@@ -86,48 +85,36 @@ def ablation_examples(n, rng, vocab_size=400):
     return examples
 
 
-class TestBuildTaggedInput:
-    def test_exact_concatenation(self):
-        ex = make_example("seed words", "sim title here", seed_abstract="abs text", gold={"sim"})
-        tagged = build_tagged_input(ex, max_len=32)
-        assert tagged.tokens == [
-            "[START]", "seed", "words", "abs", "text", "[SEP]", "sim", "title", "here",
-        ]
-        assert tagged.segment_ids == [0] * 6 + [1] * 3
-        assert tagged.labels == [0] * 6 + [1, 0, 0]
+class TestTaggerInput:
+    SEED = (FEATURES_SPLIT.index("in_seed_title"), FEATURES_SPLIT.index("in_seed_abstract"))
+
+    def _seed_columns(self, ex, max_len):
+        x = extract_features(ex, compute_idf([["x"]]), set(), max_len=max_len)
+        return [tuple(row) for row in x[:, self.SEED]]
 
     def test_oversized_abstract_truncated_title_intact(self):
         abstract = " ".join(f"a{i}" for i in range(50))
-        ex = make_example("s1 s2", "t1 t2 t3", seed_abstract=abstract, gold={"t1"})
-        tagged = build_tagged_input(ex, max_len=12)
-        assert tagged.tokens[-3:] == ["t1", "t2", "t3"]
-        assert len(tagged.tokens) == 12
-        assert tagged.seed_abstract_len == 12 - 2 - 3 - 2
+        ex = make_example("s1 s2", "a4 a5 s2", seed_abstract=abstract, gold={"s2"})
+        # 12 - 2 markers - 3 similar-title tokens leaves 7: the seed title and a0..a4
+        assert self._seed_columns(ex, max_len=12) == [(0, 1), (0, 0), (1, 0)]
+        assert self._seed_columns(ex, max_len=512) == [(0, 1), (0, 1), (1, 0)]
 
     def test_seed_title_truncated_only_after_abstract_gone(self):
-        ex = make_example("s1 s2 s3 s4 s5", "t1 t2", seed_abstract="a1 a2")
-        tagged = build_tagged_input(ex, max_len=7)
-        assert tagged.tokens == ["[START]", "s1", "s2", "s3", "[SEP]", "t1", "t2"]
-        assert tagged.seed_abstract_len == 0
+        ex = make_example("s1 s2 s3 s4 s5", "s3 s4", seed_abstract="a1 s4")
+        assert self._seed_columns(ex, max_len=7) == [(1, 0), (0, 0)]
+        assert self._seed_columns(ex, max_len=8) == [(1, 0), (1, 0)]
+        assert self._seed_columns(ex, max_len=512) == [(1, 0), (1, 1)]
 
     def test_similar_title_too_long_rejected(self):
-        ex = make_example("s", "t1 t2 t3 t4 t5")
+        ex = make_example("t1", "t1 t2 t3 t4 t5")
+        assert self._seed_columns(ex, max_len=8) == [(1, 0)] + [(0, 0)] * 4
+        assert self._seed_columns(ex, max_len=7) == [(0, 0)] * 5
         with pytest.raises(DatasetError):
-            build_tagged_input(ex, max_len=6)
+            extract_features(ex, compute_idf([["x"]]), set(), max_len=6)
 
     def test_duplicate_gold_token_labels_both_positions(self):
         ex = make_example("s", "dose response dose", gold={"dose"})
-        tagged = build_tagged_input(ex, max_len=16)
-        assert tagged.labels[-3:] == [1, 0, 1]
-
-    def test_labels_only_on_similar_segment(self):
-        rng = random.Random(2)
-        for ex in separable_examples(50, rng):
-            tagged = build_tagged_input(ex, max_len=64)
-            for seg, lab in zip(tagged.segment_ids, tagged.labels):
-                if lab == 1:
-                    assert seg == 1
-            assert len(tagged.tokens) == len(tagged.segment_ids) == len(tagged.labels)
+        assert title_labels(ex).tolist() == [1.0, 0.0, 1.0]
 
 
 class TestModelMath:
@@ -308,13 +295,6 @@ class TestPredict:
         for ex in test:
             title = {t.lower for t in ex.similar_title_tokens}
             assert tagger.predict(ex) <= title
-
-    def test_subword_path_matches_direct(self):
-        tagger, test = self._trained()
-        words = {t.text for ex in test for t in ex.similar_title_tokens}
-        vocab = build_subword_vocab(sorted(words) * 2, max_size=20000)
-        for ex in test[:10]:
-            assert tagger.predict_via_subwords(ex, vocab) == tagger.predict(ex)
 
 
 class TestCheckpoint:

@@ -1,23 +1,8 @@
-"""Word tokenizer, subword vocabulary, and label projection tests."""
+"""Word tokenizer tests."""
 
 import random
 
-import pytest
-
-from coclick.base import ConfigError
-from coclick.text import (
-    SubwordAlignment,
-    SubwordVocab,
-    align_words,
-    build_subword_vocab,
-    expand_labels,
-    join_subwords,
-    positions_of,
-    project_labels,
-    subword_tokenize,
-    unique_lower,
-    word_tokenize,
-)
+from coclick.text import positions_of, unique_lower, word_tokenize
 
 
 class TestWordTokenize:
@@ -63,97 +48,3 @@ class TestWordTokenize:
     def test_positions_of_expands_duplicates(self):
         tokens = word_tokenize("dose response dose curve")
         assert positions_of(tokens, {"dose", "curve"}) == {0, 2, 3}
-
-
-class TestSubwordVocab:
-    def test_frequent_substring_and_char_fallback(self):
-        vocab = build_subword_vocab(["vaccine", "vaccines"], max_size=4096)
-        assert "vaccine" in vocab
-        assert "##s" in vocab
-        # "vaccines" occurs once, below the frequency floor
-        assert "vaccines" not in vocab
-
-    def test_minimal_character_vocab(self):
-        vocab = build_subword_vocab(["ab"], max_size=6)
-        assert vocab.pieces == {"a", "b", "##a", "##b"}
-
-    def test_max_size_too_small_is_fatal(self):
-        with pytest.raises(ConfigError):
-            build_subword_vocab(["abc"], max_size=5)
-
-    def test_greedy_split_uses_longest_prefix(self):
-        vocab = build_subword_vocab(["vaccine", "vaccines"], max_size=4096)
-        assert subword_tokenize("vaccines", vocab) == ["vaccine", "##s"]
-
-    def test_single_char_word(self):
-        vocab = build_subword_vocab(["a", "a"], max_size=8)
-        assert subword_tokenize("a", vocab) == ["a"]
-
-    def test_round_trip_on_random_corpus_words(self):
-        rng = random.Random(11)
-        alphabet = "abcdefghij"
-        corpus = [
-            "".join(rng.choices(alphabet, k=rng.randint(1, 12))) for _ in range(400)
-        ]
-        vocab = build_subword_vocab(corpus, max_size=5000)
-        for _ in range(1000):
-            word = rng.choice(corpus)
-            pieces = subword_tokenize(word, vocab)
-            assert join_subwords(pieces) == word
-            assert not pieces[0].startswith("##")
-            assert all(p.startswith("##") for p in pieces[1:])
-
-    def test_unknown_character_passes_through(self):
-        vocab = build_subword_vocab(["ab"], max_size=64)
-        assert join_subwords(subword_tokenize("axb", vocab)) == "axb"
-
-    def test_save_load_round_trip(self, tmp_path):
-        vocab = build_subword_vocab(["vaccine", "vaccines"], max_size=4096)
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        lines = path.read_text("utf-8").splitlines()
-        assert lines[0] == "[START]"
-        assert lines[1] == "[SEP]"
-        loaded = SubwordVocab.load(path)
-        assert loaded.pieces == vocab.pieces
-
-
-class TestLabelProjection:
-    def test_any_subword_vote_selects_word(self):
-        alignment = SubwordAlignment(["vaccine", "##s"], [0, 0])
-        assert project_labels(alignment, [1, 0]) == {0}
-
-    def test_all_zero_labels(self):
-        alignment = SubwordAlignment(["a", "##b", "c"], [0, 0, 1])
-        assert project_labels(alignment, [0, 0, 0]) == set()
-
-    def test_all_one_labels(self):
-        alignment = SubwordAlignment(["a", "##b", "c"], [0, 0, 1])
-        assert project_labels(alignment, [1, 1, 1]) == {0, 1}
-
-    def test_length_mismatch_is_fatal(self):
-        alignment = SubwordAlignment(["a"], [0])
-        with pytest.raises(ValueError):
-            project_labels(alignment, [1, 0])
-
-    def test_output_within_word_range(self):
-        rng = random.Random(3)
-        corpus = ["alpha", "beta", "gamma", "delta"]
-        vocab = build_subword_vocab(corpus, max_size=2000)
-        for _ in range(100):
-            words = rng.choices(corpus, k=rng.randint(1, 6))
-            alignment = align_words(words, vocab)
-            labels = [rng.randint(0, 1) for _ in alignment.subwords]
-            selected = project_labels(alignment, labels)
-            assert selected <= set(range(len(words)))
-
-    def test_expand_then_project_is_identity(self):
-        rng = random.Random(5)
-        corpus = ["alpha", "beta", "gamma", "delta", "x"]
-        vocab = build_subword_vocab(corpus, max_size=2000)
-        for _ in range(100):
-            words = rng.choices(corpus, k=rng.randint(1, 6))
-            alignment = align_words(words, vocab)
-            word_labels = [rng.randint(0, 1) for _ in words]
-            projected = project_labels(alignment, expand_labels(alignment, word_labels))
-            assert projected == {i for i, lab in enumerate(word_labels) if lab == 1}
