@@ -42,7 +42,6 @@ from .explain import (
     TokenScore,
     bm25_token_score,
     embedding_token_relevance,
-    highlight_all,
     load_external_scores,
     load_stopwords,
     overlapper,

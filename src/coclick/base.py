@@ -1,16 +1,14 @@
-"""Shared plumbing: error types, the estimator parameter protocol, and
-input-validation helpers used across the package.
+"""Shared plumbing: error types and input-validation helpers used across the
+package.
 
 The estimator classes in this package follow the scikit-learn calling
-convention (``fit`` returns ``self``; hyperparameters are constructor
-arguments exposed via ``get_params``/``set_params``) without depending on
-scikit-learn itself, so they can sit inside larger pipelines that expect
-that protocol.
+convention (hyperparameters are constructor arguments; ``fit`` returns
+``self``; attributes learned by ``fit`` end in an underscore) without
+depending on scikit-learn itself.
 """
 
 from __future__ import annotations
 
-import inspect
 from typing import Any
 
 
@@ -36,38 +34,6 @@ class TrainingDiverged(CoclickError):
 
 class NotFittedError(CoclickError):
     """An estimator method that requires ``fit`` was called before it."""
-
-
-class ParamMixin:
-    """Minimal sklearn-style parameter introspection.
-
-    Constructor keyword arguments are the hyperparameters; attributes set
-    during ``fit`` carry a trailing underscore by convention.
-    """
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
-
-    def get_params(self) -> dict[str, Any]:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params: Any) -> "ParamMixin":
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"unknown parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
 
 def check_fitted(estimator: Any, attribute: str) -> None:

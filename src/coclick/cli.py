@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .base import CoclickError, ConfigError
+from .base import CoclickError, ConfigError, DatasetError
 from .dataset import BuildConfig, load_dataset
 from .evaluate import (
     load_pair_scores,
@@ -164,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all", "overlap", "bm25", "embed", "external", "tagger"],
     )
     p.add_argument("--select", choices=["topk", "softmax"], default="topk")
-    p.add_argument("--k", type=int, help="top-K size (default 3; 4 for --generative)")
+    p.add_argument(
+        "--k", type=int, help="top-K size (default 3; 4 for --backend external --generative)"
+    )
     p.add_argument("--p", type=float, default=0.30, help="softmax selection threshold")
     p.add_argument("--cap", type=float, default=0.40)
     p.add_argument("--articles", help="metadata TSV for idf/avgdl")
@@ -315,8 +317,9 @@ def _build_backend(args):
         if articles is None:
             raise UsageError(f"--backend {backend_name} requires --articles")
 
-    k = args.k if args.k is not None else (4 if args.generative else 3)
-    selection = dict(selector=args.select, k=k, p=args.p, cap_fraction=args.cap)
+    selection = dict(selector=args.select, p=args.p, cap_fraction=args.cap)
+    if args.k is not None:
+        selection["k"] = args.k
 
     if args.backend == "all":
         return HighlightAll()
@@ -386,9 +389,13 @@ def load_predictions(path: str) -> dict:
                 continue
             try:
                 record = json.loads(line)
-                predictions[(record["seed_id"], record["similar_id"])] = set(record["tokens"])
+                key = (record["seed_id"], record["similar_id"])
+                tokens = record["tokens"]
+                if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                    raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
+                predictions[key] = set(tokens)
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise CoclickError(f"bad prediction record at {path}:{lineno}: {exc}") from exc
+                raise DatasetError(f"bad prediction record at {path}:{lineno}: {exc}") from exc
     return predictions
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, Sequence
 
-from .base import DatasetError, ParamMixin, check_fitted
+from .base import DatasetError, check_fitted
 from .dataset import PairExample
 from .logs import PairKey
 from .scoring import IdfTable, compute_idf, cosine, threshold_cap_select
@@ -42,11 +42,6 @@ def load_stopwords(path=None) -> set[str]:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     return {line.strip().lower() for line in text.splitlines() if line.strip()}
-
-
-def highlight_all(title_tokens: Sequence[WordToken]) -> set[int]:
-    """Select every title position."""
-    return set(range(len(title_tokens)))
 
 
 def overlapper(
@@ -186,8 +181,8 @@ def select_softmax_threshold(
 def load_external_scores(fh: IO[str]) -> dict[PairKey, list[tuple[str, float]]]:
     """Read externally produced per-token scores (JSON Lines, one pair per line).
 
-    These files are machine-written, so malformed lines are fatal. A repeated
-    pair overwrites the earlier line, with a warning.
+    These files are machine-written, so malformed lines and non-finite scores
+    are fatal. A repeated pair overwrites the earlier line, with a warning.
     """
     scores: dict[PairKey, list[tuple[str, float]]] = {}
     for lineno, line in enumerate(fh, start=1):
@@ -200,13 +195,16 @@ def load_external_scores(fh: IO[str]) -> dict[PairKey, list[tuple[str, float]]]:
             entries = [(s["token"].lower(), float(s["score"])) for s in record["scores"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"bad external score record at line {lineno}: {exc}") from exc
+        for token, score in entries:
+            if not math.isfinite(score):
+                raise DatasetError(f"external score for {token!r} at line {lineno} is {score}")
         if key in scores:
             log.warning("duplicate external scores for pair %s at line %d; last wins", key, lineno)
         scores[key] = entries
     return scores
 
 
-class Explainer(ParamMixin):
+class Explainer:
     """Common interface: optional ``fit`` on corpus documents, then per-example
     prediction of the similar-title tokens to highlight."""
 

@@ -23,16 +23,13 @@ import numpy as np
 from .base import DatasetError, TrainingDiverged, check_fitted
 from .dataset import PairExample
 from .evaluate import evaluate_predictions
-from .explain import EmbeddingTable, Explainer, load_stopwords
-from .scoring import IdfTable, compute_idf, cosine
-from .text import positions_of
+from .explain import Explainer, load_stopwords
+from .scoring import IdfTable, compute_idf
 
 FEATURES_SPLIT = (
     "in_seed_title",
     "in_seed_abstract",
     "idf",
-    "max_cosine",
-    "sum_cosine",
     "relative_position",
     "token_length",
     "is_stopword",
@@ -41,22 +38,35 @@ FEATURES_SPLIT = (
 FEATURES_MERGED = (
     "in_seed_any",
     "idf",
-    "max_cosine",
-    "sum_cosine",
     "relative_position",
     "token_length",
     "is_stopword",
     "bias",
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# Constructor arguments a checkpoint stores and restores; ``warmup_steps`` is
+# saved resolved, so a loaded tagger does not depend on the default rule.
+HYPERPARAMETERS = (
+    "lr",
+    "beta1",
+    "beta2",
+    "warmup_steps",
+    "total_steps",
+    "batch_size",
+    "rng_seed",
+    "eval_every",
+    "decision_threshold",
+    "merge_seed_features",
+    "max_len",
+)
 
 
 def extract_features(
     example: PairExample,
     idf: IdfTable,
     stopwords: set[str],
-    embeddings: EmbeddingTable | None = None,
     merge_seed_features: bool = False,
     max_len: int = 512,
 ) -> np.ndarray:
@@ -85,22 +95,9 @@ def extract_features(
         word = tok.lower
         in_title = 1.0 if word in title_set else 0.0
         in_abstract = 1.0 if word in abstract_set else 0.0
-        max_cos = 0.0
-        sum_cos = 0.0
-        if embeddings is not None:
-            vec = embeddings.get(word)
-            if vec is not None:
-                for seed_tok in seed_title_lower:
-                    seed_vec = embeddings.get(seed_tok)
-                    if seed_vec is not None:
-                        c = cosine(vec, seed_vec)
-                        sum_cos += c
-                        max_cos = max(max_cos, c)
         rel_pos = tok.word_index / max(1, n - 1)
         common = [
             idf.idf(word),
-            max_cos,
-            sum_cos,
             rel_pos,
             float(len(word)),
             1.0 if word in stopwords else 0.0,
@@ -159,8 +156,14 @@ def lr_at(step: int, peak_lr: float, warmup_steps: int, total_steps: int) -> flo
 class TokenTagger(Explainer):
     """Sigmoid linear tagger over per-token features, trained with Adam.
 
-    ``idf``, ``stopwords`` and ``embeddings`` are corpus context; when not
-    given, ``fit`` derives idf from the training articles and loads the
+    Each similar-title token gets the 7 ``FEATURES_SPLIT`` columns, or the
+    6 ``FEATURES_MERGED`` ones with ``merge_seed_features``: seed-title and
+    seed-abstract membership (one merged column), idf, relative position,
+    token length, stopword flag and a bias.
+
+    The constructor arguments named in ``HYPERPARAMETERS`` are what a
+    checkpoint stores. ``idf`` and ``stopwords`` are corpus context; when
+    not given, ``fit`` derives idf from the training articles and loads the
     packaged stopword list.
     """
 
@@ -181,7 +184,6 @@ class TokenTagger(Explainer):
         max_len: int = 512,
         idf: IdfTable | None = None,
         stopwords: set[str] | None = None,
-        embeddings: EmbeddingTable | None = None,
     ):
         self.lr = lr
         self.beta1 = beta1
@@ -196,7 +198,6 @@ class TokenTagger(Explainer):
         self.max_len = max_len
         self.idf = idf
         self.stopwords = stopwords
-        self.embeddings = embeddings
 
         self.weights_: np.ndarray | None = None
         self.step_: int = 0
@@ -225,9 +226,7 @@ class TokenTagger(Explainer):
         return idf, stopwords
 
     def _features(self, example: PairExample, idf: IdfTable, stopwords: set[str]) -> np.ndarray:
-        return extract_features(
-            example, idf, stopwords, self.embeddings, self.merge_seed_features, self.max_len
-        )
+        return extract_features(example, idf, stopwords, self.merge_seed_features, self.max_len)
 
     def fit(
         self,
@@ -349,25 +348,10 @@ class TokenTagger(Explainer):
     def predict_tokens(self, example: PairExample) -> set[str]:
         return self.predict(example)
 
-    def predict_positions(self, example: PairExample) -> set[int]:
-        """Title-level view: every position whose token is in the predicted set."""
-        return positions_of(example.similar_title_tokens, self.predict(example))
-
     def save(self, fh: IO[str]) -> None:
         check_fitted(self, "weights_")
-        config = {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "warmup_steps": self._resolved_warmup(),
-            "total_steps": self.total_steps,
-            "batch_size": self.batch_size,
-            "rng_seed": self.rng_seed,
-            "eval_every": self.eval_every,
-            "decision_threshold": self.decision_threshold,
-            "merge_seed_features": self.merge_seed_features,
-            "max_len": self.max_len,
-        }
+        config = {name: getattr(self, name) for name in HYPERPARAMETERS}
+        config["warmup_steps"] = self._resolved_warmup()
         record = {
             "version": CHECKPOINT_VERSION,
             "feature_names": list(self.feature_names_),
@@ -384,27 +368,13 @@ class TokenTagger(Explainer):
         fh: IO[str],
         idf: IdfTable | None = None,
         stopwords: set[str] | None = None,
-        embeddings: EmbeddingTable | None = None,
     ) -> "TokenTagger":
         record = json.load(fh)
         if record.get("version") != CHECKPOINT_VERSION:
             raise DatasetError(f"unsupported checkpoint version {record.get('version')!r}")
         config = record["config"]
         tagger = cls(
-            lr=config["lr"],
-            beta1=config["beta1"],
-            beta2=config["beta2"],
-            warmup_steps=config["warmup_steps"],
-            total_steps=config["total_steps"],
-            batch_size=config["batch_size"],
-            rng_seed=config["rng_seed"],
-            eval_every=config["eval_every"],
-            decision_threshold=config["decision_threshold"],
-            merge_seed_features=config["merge_seed_features"],
-            max_len=config["max_len"],
-            idf=idf,
-            stopwords=stopwords,
-            embeddings=embeddings,
+            **{name: config[name] for name in HYPERPARAMETERS}, idf=idf, stopwords=stopwords
         )
         tagger.feature_names_ = tuple(record["feature_names"])
         expected = feature_names(config["merge_seed_features"])

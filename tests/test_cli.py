@@ -30,6 +30,22 @@ SYNTH_FLAGS = [
 ]
 
 
+def read_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def run_cli(*argv):
+    """Run ``coclick`` in a child process, so an uncaught error shows as a traceback."""
+    return subprocess.run(
+        [sys.executable, "-m", "coclick.cli", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": str(Path(coclick.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def fixture_config():
     """The ``run_pipeline`` config that matches the ``workdir`` fixture's flags."""
     synth = SynthConfig(
@@ -128,7 +144,7 @@ class TestPipelineArtifacts:
         assert len(lines) == 1 + 3  # eval every 100 of 300 steps
 
     def test_metrics_csv_shape(self, workdir):
-        rows = list(csv.DictReader(open(workdir / "metrics.csv", encoding="utf-8")))
+        rows = read_rows(workdir / "metrics.csv")
         assert rows[0].keys() == {"model", "granularity", "stratum", "R", "P", "F1", "L", "N"}
         models = {r["model"] for r in rows}
         assert models == {"all", "bm25", "tagger"}
@@ -136,7 +152,7 @@ class TestPipelineArtifacts:
         assert strata == {"all", "top_0.1pct", "top_third", "middle_third", "bottom_third"}
 
     def test_highlight_all_has_full_recall_in_csv(self, workdir):
-        rows = list(csv.DictReader(open(workdir / "metrics.csv", encoding="utf-8")))
+        rows = read_rows(workdir / "metrics.csv")
         for row in rows:
             if row["model"] == "all" and row["granularity"] == "token":
                 assert row["R"] == "100.00"
@@ -168,7 +184,7 @@ class TestReportSubcommand:
             "--sheet", str(sheet), "--key", str(key),
             "--seed", "3",
         ]) == 0
-        sheet_rows = list(csv.DictReader(open(sheet, encoding="utf-8")))
+        sheet_rows = read_rows(sheet)
         assert list(sheet_rows[0]) == [
             "instance_id", "seed_title", "title_left_highlighted", "title_right_highlighted",
         ]
@@ -240,6 +256,16 @@ class TestOtherBackends:
         preds = [json.loads(line) for line in out.read_text("utf-8").splitlines()]
         assert len(preds) == len(examples) - 1
 
+    def test_generative_flag_leaves_bm25_top_k_alone(self, workdir, tmp_path):
+        out = tmp_path / "pred.bm25.generative.jsonl"
+        assert main([
+            "explain", "--dataset", str(workdir / "data.test.jsonl"),
+            "--backend", "bm25", "--articles", str(workdir / "articles.tsv"),
+            "--generative",
+            "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == (workdir / "pred.bm25.jsonl").read_bytes()
+
     def test_bm25_softmax_selection(self, workdir, tmp_path):
         out = tmp_path / "pred.softmax.jsonl"
         assert main([
@@ -270,7 +296,7 @@ class TestEvalVariants:
             "--strata", "similarity", "--pair-scores", str(pair_scores),
             "--out", str(out),
         ]) == 0
-        strata = {r["stratum"] for r in csv.DictReader(open(out, encoding="utf-8"))}
+        strata = {r["stratum"] for r in read_rows(out)}
         assert strata == {"all"} | {f"similarity_q{i}" for i in range(1, 6)}
 
     def test_similarity_strata_without_scores_is_usage_error(self, workdir, tmp_path):
@@ -290,7 +316,7 @@ class TestEvalVariants:
             "--granularity", "token", "--micro",
             "--out", str(out),
         ]) == 0
-        rows = list(csv.DictReader(open(out, encoding="utf-8")))
+        rows = read_rows(out)
         assert rows[0]["granularity"] == "token"
 
 
@@ -322,20 +348,48 @@ class TestExitCodes:
             '{"seed_id": "A", "similar_id": "C", "query_counts": {"q": 1.7}, "combined_clicks": 1}\n',
             encoding="utf-8",
         )
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "coclick.cli", "build",
-                "--aggregates", str(agg),
-                "--articles", str(workdir / "articles.tsv"),
-                "--out-prefix", str(tmp_path / "data"),
-            ],
-            env={**os.environ, "PYTHONPATH": str(Path(coclick.__file__).parents[1])},
-            capture_output=True,
-            text=True,
-            timeout=120,
+        proc = run_cli(
+            "build",
+            "--aggregates", agg,
+            "--articles", workdir / "articles.tsv",
+            "--out-prefix", tmp_path / "data",
         )
         assert proc.returncode == 1
         assert "line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_list_prediction_tokens_fail_eval_without_traceback(self, workdir, tmp_path):
+        preds = tmp_path / "pred.jsonl"
+        preds.write_text(
+            '{"seed_id": "A", "similar_id": "B", "tokens": ["dose"]}\n'
+            '{"seed_id": "A", "similar_id": "C", "tokens": "dose"}\n',
+            encoding="utf-8",
+        )
+        proc = run_cli(
+            "eval",
+            "--dataset", workdir / "data.test.jsonl",
+            "--pred", f"m={preds}",
+            "--out", tmp_path / "m.csv",
+        )
+        assert proc.returncode == 1
+        assert f"{preds}:2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_version_1_checkpoint_fails_explain_without_traceback(self, workdir, tmp_path):
+        record = json.loads((workdir / "tagger.json").read_text("utf-8"))
+        record["version"] = 1
+        checkpoint = tmp_path / "tagger.v1.json"
+        checkpoint.write_text(json.dumps(record), encoding="utf-8")
+        proc = run_cli(
+            "explain",
+            "--dataset", workdir / "data.test.jsonl",
+            "--backend", "tagger",
+            "--articles", workdir / "articles.tsv",
+            "--checkpoint", checkpoint,
+            "--out", tmp_path / "p.jsonl",
+        )
+        assert proc.returncode == 1
+        assert "unsupported checkpoint version 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_backend_without_companion_flag_is_usage_error(self, workdir, tmp_path, capsys):

@@ -18,7 +18,6 @@ from coclick.explain import (
     TokenScore,
     bm25_token_score,
     embedding_token_relevance,
-    highlight_all,
     load_embeddings,
     load_external_scores,
     load_stopwords,
@@ -57,11 +56,11 @@ MICRO_CORPUS = [
 
 class TestHighlightAll:
     def test_selects_every_index(self):
-        tokens = word_tokenize("one two three four five six seven eight")
-        assert highlight_all(tokens) == set(range(8))
+        ex = make_example("whatever", "one two three four five six seven eight")
+        assert HighlightAll().predict_positions(ex) == set(range(8))
 
     def test_empty_title(self):
-        assert highlight_all([]) == set()
+        assert HighlightAll().predict_positions(make_example("whatever", "")) == set()
 
     def test_precision_is_gold_over_unique(self):
         ex = make_example("whatever", "a b c d", gold={"a", "b"})
@@ -266,6 +265,16 @@ class TestExternalScores:
     def test_malformed_line_fatal(self):
         with pytest.raises(DatasetError):
             load_external_scores(io.StringIO("{broken\n"))
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", '"nan"'])
+    def test_non_finite_score_fatal_with_line_number(self, bad):
+        fh = io.StringIO(
+            '{"seed_id": "S1", "similar_id": "T1", "scores": [{"token": "a", "score": 1.0}]}\n'
+            '{"seed_id": "S2", "similar_id": "T2", "scores": '
+            f'[{{"token": "a", "score": {bad}}}, {{"token": "b", "score": 1.0}}]}}\n'
+        )
+        with pytest.raises(DatasetError, match="line 2"):
+            load_external_scores(fh)
 
     def test_token_absent_from_title_names_pair(self):
         ex = make_example("seed title words", "alpha beta gamma delta", pair=("S9", "T9"))

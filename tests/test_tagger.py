@@ -1,6 +1,7 @@
 """Tagger tests: input truncation, model math, training, prediction, checkpoints."""
 
 import io
+import json
 import math
 import random
 
@@ -12,6 +13,7 @@ from coclick.dataset import PairExample, TokenClickCounts
 from coclick.tagger import (
     FEATURES_MERGED,
     FEATURES_SPLIT,
+    HYPERPARAMETERS,
     TokenTagger,
     extract_features,
     forward,
@@ -35,6 +37,17 @@ def make_example(seed_title, similar_title, seed_abstract="", gold=(), pair=("S1
         token_counts=TokenClickCounts({t.lower: 1 for t in tokens}),
         combined_clicks=30,
     )
+
+
+def version_1_checkpoint(text):
+    """Rewrite a checkpoint in the version-1 layout, which had two more features."""
+    record = json.loads(text)
+    names = record["feature_names"]
+    at = names.index("idf") + 1
+    record["version"] = 1
+    record["feature_names"] = names[:at] + ["max_cosine", "sum_cosine"] + names[at:]
+    record["weights"] = record["weights"][:at] + [0.0, 0.0] + record["weights"][at:]
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
 def separable_examples(n, rng, vocab_size=60):
@@ -225,15 +238,10 @@ class TestTraining:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_divergence_aborts(self):
-        # a corrupt (infinite) embedding component poisons the cosine features
-        from coclick.explain import EmbeddingTable
-
+        # a non-finite learning rate turns the weights non-finite after one step
         rng = random.Random(29)
         train = separable_examples(40, rng)
-        bad = EmbeddingTable(
-            dim=2, vectors={f"v{i:03d}": [float("inf"), 1.0] for i in range(60)}
-        )
-        tagger = TokenTagger(total_steps=50, batch_size=8, rng_seed=3, embeddings=bad)
+        tagger = TokenTagger(lr=float("inf"), total_steps=50, batch_size=8, rng_seed=3)
         with pytest.raises(TrainingDiverged):
             tagger.fit(train)
 
@@ -316,6 +324,29 @@ class TestCheckpoint:
     def test_bad_version_rejected(self):
         with pytest.raises(DatasetError):
             TokenTagger.load(io.StringIO('{"version": 99}'))
+
+    def test_version_1_checkpoint_rejected(self):
+        tagger = TokenTagger(total_steps=20, batch_size=8, rng_seed=8).fit(
+            separable_examples(20, random.Random(47))
+        )
+        buf = io.StringIO()
+        tagger.save(buf)
+        with pytest.raises(DatasetError, match="version 1"):
+            TokenTagger.load(io.StringIO(version_1_checkpoint(buf.getvalue())))
+
+    def test_config_round_trips_every_hyperparameter(self):
+        tagger = TokenTagger(
+            lr=0.02, beta1=0.8, beta2=0.99, total_steps=30, batch_size=4, rng_seed=2,
+            eval_every=10, decision_threshold=0.4, merge_seed_features=True, max_len=64,
+        ).fit(separable_examples(12, random.Random(59)))
+        buf = io.StringIO()
+        tagger.save(buf)
+        assert set(json.loads(buf.getvalue())["config"]) == set(HYPERPARAMETERS)
+        buf.seek(0)
+        loaded = TokenTagger.load(buf)
+        assert loaded.warmup_steps == 100  # saved resolved, not as None
+        for name in set(HYPERPARAMETERS) - {"warmup_steps"}:
+            assert getattr(loaded, name) == getattr(tagger, name), name
 
 
 class TestFeatureSplitAblation:
