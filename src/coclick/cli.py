@@ -24,6 +24,7 @@ from .evaluate import (
     write_metrics_csv,
 )
 from .explain import (
+    SELECTORS,
     Bm25,
     EmbeddingRelevance,
     ExternalScores,
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["all", "overlap", "bm25", "embed", "external", "tagger"],
     )
-    p.add_argument("--select", choices=["topk", "softmax"], default="topk")
+    p.add_argument("--select", choices=SELECTORS, default="topk")
     p.add_argument(
         "--k", type=int, help="top-K size (default 3; 4 for --backend external --generative)"
     )
@@ -496,11 +497,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and not argv[0].startswith("-"):
         rest = argv[1:]
-        if "--config" in rest:
+        # A trailing --config without a value is left for argparse to reject.
+        if "--config" in rest[:-1]:
             config_path = rest[rest.index("--config") + 1]
             try:
                 argv = [argv[0]] + _config_flags(config_path) + rest
-            except OSError as exc:
+            except (ConfigError, OSError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
     parser = build_parser()

@@ -18,13 +18,16 @@ from typing import IO, Iterable, Sequence
 from .base import DatasetError, LabelingError, check_ratios
 from .logs import Article, PairAggregate, PairKey
 from .scoring import threshold_cap_select
-from .text import WordToken, unique_lower, word_tokenize
+from .text import word_tokenize
 
 DROP_MIN_CLICKS = "min_clicks"
 DROP_MIN_TITLE_LEN = "min_title_len"
 DROP_MIN_NONZERO = "min_nonzero"
 DROP_EMPTY_GOLD = "empty_gold"
 DROP_MISSING_ARTICLE = "missing_article"
+
+# The string fields of a dataset row.
+TEXT_FIELDS = ("seed_id", "similar_id", "seed_title", "seed_abstract", "similar_title")
 
 
 @dataclass
@@ -41,12 +44,19 @@ class TokenClickCounts:
         return sum(1 for c in self.counts.values() if c > 0)
 
 
+def lower_tokens(text: str) -> list[str]:
+    """The lowercase word tokens of ``text``, in order."""
+    return [t.lower for t in word_tokenize(text)]
+
+
 @dataclass
 class PairExample:
     """One labeled dataset row.
 
-    Titles and the abstract are stored raw; token views are recomputed so
-    every consumer sees one consistent tokenization.
+    Titles and the abstract are stored raw. The three token views are their
+    lowercase word tokens, computed on construction, so every consumer sees
+    one tokenization; a title position is an index into
+    ``similar_title_tokens``.
     """
 
     seed_id: str
@@ -58,21 +68,21 @@ class PairExample:
     token_counts: TokenClickCounts
     combined_clicks: int
 
-    seed_title_tokens: list[WordToken] = field(init=False, repr=False)
-    seed_abstract_tokens: list[WordToken] = field(init=False, repr=False)
-    similar_title_tokens: list[WordToken] = field(init=False, repr=False)
+    seed_title_tokens: list[str] = field(init=False, repr=False)
+    seed_abstract_tokens: list[str] = field(init=False, repr=False)
+    similar_title_tokens: list[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.seed_title_tokens = word_tokenize(self.seed_title)
-        self.seed_abstract_tokens = word_tokenize(self.seed_abstract)
-        self.similar_title_tokens = word_tokenize(self.similar_title)
+        self.seed_title_tokens = lower_tokens(self.seed_title)
+        self.seed_abstract_tokens = lower_tokens(self.seed_abstract)
+        self.similar_title_tokens = lower_tokens(self.similar_title)
 
     @property
     def pair_key(self) -> PairKey:
         return (self.seed_id, self.similar_id)
 
     def unique_title_tokens(self) -> list[str]:
-        return unique_lower(self.similar_title_tokens)
+        return list(dict.fromkeys(self.similar_title_tokens))
 
 
 @dataclass
@@ -87,18 +97,19 @@ class BuildConfig:
 
 
 def count_title_token_clicks(
-    aggregate: PairAggregate, similar_title_tokens: Sequence[WordToken]
+    aggregate: PairAggregate, similar_title_tokens: Sequence[str]
 ) -> TokenClickCounts:
     """Sum, per unique title token, the clicks of queries containing that token.
 
-    Query strings are word-tokenized with the shared tokenizer and matched
-    case-insensitively; title tokens appearing in no query get count 0.
+    ``similar_title_tokens`` are lowercase; query strings are word-tokenized
+    with the shared tokenizer and lowercased too, so matching ignores case.
+    Title tokens appearing in no query get count 0.
     """
-    counts = TokenClickCounts({t: 0 for t in unique_lower(similar_title_tokens)})
+    counts = TokenClickCounts(dict.fromkeys(similar_title_tokens, 0))
     if not counts.counts:
         return counts
     for query, clicks in aggregate.query_counts.items():
-        for qtok in set(t.lower for t in word_tokenize(query)):
+        for qtok in set(lower_tokens(query)):
             if qtok in counts.counts:
                 counts.counts[qtok] += clicks
     return counts
@@ -125,7 +136,7 @@ def select_gold_tokens(
 
 def filter_pair(
     combined_clicks: int,
-    similar_title_tokens: Sequence[WordToken],
+    similar_title_tokens: Sequence[str],
     counts: TokenClickCounts,
     min_clicks: int = 20,
     min_title_len: int = 7,
@@ -166,7 +177,7 @@ def build_examples(
         if seed is None or similar is None:
             drop(DROP_MISSING_ARTICLE)
             continue
-        title_tokens = word_tokenize(similar.title)
+        title_tokens = lower_tokens(similar.title)
         counts = count_title_token_clicks(agg, title_tokens)
         reason = filter_pair(
             agg.combined_clicks,
@@ -260,27 +271,21 @@ def write_dataset(examples: Iterable[PairExample], fh: IO[str]) -> None:
 
 
 def load_dataset(fh: IO[str]) -> list[PairExample]:
-    """Read a dataset file, re-tokenize, and validate row invariants."""
+    """Read a dataset file written by :func:`write_dataset`.
+
+    Raises :class:`DatasetError` with the line number for a record that is
+    not valid JSON or lacks a field, an id or text that is not a string,
+    ``gold_tokens`` that are not a list of strings, a count that is not an
+    integer of at least 0, and gold or counted tokens outside the title.
+    """
     examples: list[PairExample] = []
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
-            ex = PairExample(
-                seed_id=record["seed_id"],
-                similar_id=record["similar_id"],
-                seed_title=record["seed_title"],
-                seed_abstract=record["seed_abstract"],
-                similar_title=record["similar_title"],
-                gold_tokens=set(record["gold_tokens"]),
-                token_counts=TokenClickCounts(
-                    {t: int(c) for t, c in record["token_counts"].items()}
-                ),
-                combined_clicks=int(record["combined_clicks"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            ex = _parse_example(line)
+        except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"bad dataset record at line {lineno}: {exc}") from exc
         title_tokens = set(ex.unique_title_tokens())
         if not ex.gold_tokens <= title_tokens:
@@ -295,3 +300,29 @@ def load_dataset(fh: IO[str]) -> list[PairExample]:
             )
         examples.append(ex)
     return examples
+
+
+def _parse_example(line: str) -> PairExample:
+    record = json.loads(line)
+    texts = {name: record[name] for name in TEXT_FIELDS}
+    for name, text in texts.items():
+        if not isinstance(text, str):
+            raise TypeError(f"{name} must be a string, got {text!r}")
+    gold, counts = record["gold_tokens"], record["token_counts"]
+    combined = record["combined_clicks"]
+    if not isinstance(gold, list) or not all(isinstance(t, str) for t in gold):
+        raise TypeError(f"gold_tokens must be a list of strings, got {gold!r}")
+    if not isinstance(counts, dict):
+        raise TypeError(f"token_counts must be an object, got {counts!r}")
+    for token, count in counts.items():
+        # bool is a subclass of int, but true is no count
+        if type(count) is not int or count < 0:
+            raise ValueError(f"count {count!r} for token {token!r} is not an integer >= 0")
+    if type(combined) is not int or combined < 0:
+        raise ValueError(f"combined_clicks {combined!r} is not an integer >= 0")
+    return PairExample(
+        **texts,
+        gold_tokens=set(gold),
+        token_counts=TokenClickCounts(counts),
+        combined_clicks=combined,
+    )

@@ -19,7 +19,7 @@ from typing import IO, Iterable, Sequence
 from .base import CoclickError, DatasetError
 from .dataset import PairExample
 from .logs import PairKey
-from .text import WordToken, positions_of
+from .text import positions_of
 
 log = logging.getLogger(__name__)
 
@@ -61,9 +61,9 @@ def token_metrics(gold: set[str], pred: set[str]) -> tuple[float, float] | None:
 
 
 def title_metrics(
-    title_tokens: Sequence[WordToken], gold: set[str], pred: set[str]
+    title_tokens: Sequence[str], gold: set[str], pred: set[str]
 ) -> tuple[float, float] | None:
-    """Per-instance (recall, precision) over title positions."""
+    """Per-instance (recall, precision) over the positions of lowercase ``title_tokens``."""
     gold_pos = positions_of(title_tokens, gold)
     pred_pos = positions_of(title_tokens, pred)
     return _rates(_counts(gold_pos, pred_pos))

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, Sequence
 
-from .base import DatasetError, check_fitted
+from .base import ConfigError, DatasetError, check_fitted
 from .dataset import PairExample
 from .logs import PairKey
 from .scoring import IdfTable, compute_idf, cosine, threshold_cap_select
-from .text import WordToken, positions_of, unique_lower
+from .text import positions_of
 
 log = logging.getLogger(__name__)
 
@@ -45,26 +45,25 @@ def load_stopwords(path=None) -> set[str]:
 
 
 def overlapper(
-    seed_title_tokens: Sequence[WordToken],
-    title_tokens: Sequence[WordToken],
+    seed_title_tokens: Sequence[str],
+    title_tokens: Sequence[str],
     stopwords: set[str],
     idf: IdfTable | None = None,
     idf_floor: float = 0.0,
 ) -> set[int]:
-    """Select title positions whose token also appears in the seed title.
+    """Select title positions whose lowercase token also appears in the seed title.
 
     Stopwords are excluded, as are tokens whose idf falls below ``idf_floor``
     when a table is supplied.
     """
-    seed_set = {t.lower for t in seed_title_tokens}
-    selected = set()
-    for tok in title_tokens:
-        if tok.lower not in seed_set or tok.lower in stopwords:
-            continue
-        if idf is not None and idf.idf(tok.lower) < idf_floor:
-            continue
-        selected.add(tok.word_index)
-    return selected
+    seed_set = set(seed_title_tokens)
+    return {
+        i
+        for i, tok in enumerate(title_tokens)
+        if tok in seed_set
+        and tok not in stopwords
+        and (idf is None or idf.idf(tok) >= idf_floor)
+    }
 
 
 def bm25_token_score(
@@ -96,10 +95,16 @@ class EmbeddingTable:
 
 
 def load_embeddings(fh: IO[str]) -> EmbeddingTable:
-    """Read vectors in the ``count dim`` header text format; dimension errors are fatal."""
+    """Read vectors in the ``count dim`` header text format.
+
+    The file is machine-written, so a bad header, a wrong component count and
+    a component that is not a finite number are fatal, with the line number.
+    """
     header = fh.readline().split()
-    if len(header) != 2:
-        raise DatasetError("embedding file must start with a 'count dim' header")
+    if len(header) != 2 or not all(field.isdecimal() for field in header) or int(header[1]) < 1:
+        raise DatasetError(
+            f"embedding line 1: expected a 'count dim' header, got {' '.join(header)!r}"
+        )
     dim = int(header[1])
     vectors: dict[str, list[float]] = {}
     for lineno, line in enumerate(fh, start=2):
@@ -110,9 +115,12 @@ def load_embeddings(fh: IO[str]) -> EmbeddingTable:
             raise DatasetError(
                 f"embedding line {lineno}: expected {dim} components, got {len(parts) - 1}"
             )
-        values = [float(x) for x in parts[1:]]
-        if any(math.isnan(v) for v in values):
-            raise DatasetError(f"embedding line {lineno}: NaN component")
+        try:
+            values = [float(x) for x in parts[1:]]
+        except ValueError as exc:
+            raise DatasetError(f"embedding line {lineno}: {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise DatasetError(f"embedding line {lineno}: non-finite component")
         vectors[parts[0].lower()] = values
     return EmbeddingTable(dim=dim, vectors=vectors)
 
@@ -231,16 +239,19 @@ class HighlightAll(Explainer):
     name = "all"
 
     def predict_tokens(self, example: PairExample) -> set[str]:
-        return set(unique_lower(example.similar_title_tokens))
+        return set(example.similar_title_tokens)
 
 
 class Overlapper(Explainer):
-    """Select title tokens shared with the seed title, minus stopwords."""
+    """Select title tokens shared with the seed title, minus stopwords.
+
+    Without ``stopwords``, the packaged list is read once, at construction.
+    """
 
     name = "overlap"
 
     def __init__(self, stopwords: set[str] | None = None, idf_floor: float = 0.0):
-        self.stopwords = stopwords
+        self.stopwords = stopwords if stopwords is not None else load_stopwords()
         self.idf_floor = idf_floor
         self.idf_: IdfTable | None = None
 
@@ -250,24 +261,37 @@ class Overlapper(Explainer):
         return self
 
     def predict_tokens(self, example: PairExample) -> set[str]:
-        stopwords = self.stopwords if self.stopwords is not None else load_stopwords()
         positions = overlapper(
             example.seed_title_tokens,
             example.similar_title_tokens,
-            stopwords,
+            self.stopwords,
             self.idf_,
             self.idf_floor,
         )
-        return {example.similar_title_tokens[i].lower for i in positions}
+        return {example.similar_title_tokens[i] for i in positions}
+
+
+SELECTORS = ("topk", "softmax")
 
 
 class ScoredExplainer(Explainer):
-    """Base for backends that score each title token then apply a selection rule."""
+    """Base for backends that score each title token then apply a selection rule.
 
-    selector = "topk"
-    k = 3
-    p = 0.30
-    cap_fraction = 0.40
+    ``selector`` is ``"topk"`` (the ``k`` best unique tokens) or
+    ``"softmax"`` (max-scaled softmax at threshold ``p``, capped at
+    ``cap_fraction`` of the unique tokens). Subclasses take these four as
+    keyword arguments and pass them on.
+    """
+
+    def __init__(
+        self, selector: str = "topk", k: int = 3, p: float = 0.30, cap_fraction: float = 0.40
+    ):
+        if selector not in SELECTORS:
+            raise ConfigError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
+        self.selector = selector
+        self.k = k
+        self.p = p
+        self.cap_fraction = cap_fraction
 
     def score_tokens(self, example: PairExample) -> list[TokenScore] | None:
         raise NotImplementedError
@@ -281,11 +305,9 @@ class ScoredExplainer(Explainer):
             return None
         if self.selector == "topk":
             positions = select_top_k(scores, self.k, self._idf_for_ties())
-        elif self.selector == "softmax":
-            positions = select_softmax_threshold(scores, self.p, self.cap_fraction)
         else:
-            raise ValueError(f"unknown selector {self.selector!r}")
-        return {example.similar_title_tokens[i].lower for i in positions}
+            positions = select_softmax_threshold(scores, self.p, self.cap_fraction)
+        return {example.similar_title_tokens[i] for i in positions}
 
 
 class Bm25(ScoredExplainer):
@@ -298,23 +320,11 @@ class Bm25(ScoredExplainer):
 
     name = "bm25"
 
-    def __init__(
-        self,
-        k1: float = 0.5,
-        b: float = 0.3,
-        use_abstract: bool = False,
-        selector: str = "topk",
-        k: int = 3,
-        p: float = 0.30,
-        cap_fraction: float = 0.40,
-    ):
+    def __init__(self, k1: float = 0.5, b: float = 0.3, use_abstract: bool = False, **selection):
+        super().__init__(**selection)
         self.k1 = k1
         self.b = b
         self.use_abstract = use_abstract
-        self.selector = selector
-        self.k = k
-        self.p = p
-        self.cap_fraction = cap_fraction
         self.idf_: IdfTable | None = None
         self.avgdl_: float | None = None
 
@@ -326,22 +336,14 @@ class Bm25(ScoredExplainer):
         self.avgdl_ = sum(len(d) for d in docs) / len(docs)
         return self
 
-    def _seed_doc(self, example: PairExample) -> list[str]:
-        tokens = [t.lower for t in example.seed_title_tokens]
-        if self.use_abstract:
-            tokens += [t.lower for t in example.seed_abstract_tokens]
-        return tokens
-
     def score_tokens(self, example: PairExample) -> list[TokenScore]:
         check_fitted(self, "idf_")
-        seed_doc = self._seed_doc(example)
+        seed_doc = example.seed_title_tokens
+        if self.use_abstract:
+            seed_doc = seed_doc + example.seed_abstract_tokens
         return [
-            TokenScore(
-                tok.lower,
-                tok.word_index,
-                bm25_token_score(tok.lower, seed_doc, self.idf_, self.avgdl_, self.k1, self.b),
-            )
-            for tok in example.similar_title_tokens
+            TokenScore(tok, i, bm25_token_score(tok, seed_doc, self.idf_, self.avgdl_, self.k1, self.b))
+            for i, tok in enumerate(example.similar_title_tokens)
         ]
 
 
@@ -350,29 +352,15 @@ class EmbeddingRelevance(ScoredExplainer):
 
     name = "embed"
 
-    def __init__(
-        self,
-        table: EmbeddingTable,
-        selector: str = "topk",
-        k: int = 3,
-        p: float = 0.30,
-        cap_fraction: float = 0.40,
-    ):
+    def __init__(self, table: EmbeddingTable, **selection):
+        super().__init__(**selection)
         self.table = table
-        self.selector = selector
-        self.k = k
-        self.p = p
-        self.cap_fraction = cap_fraction
 
     def score_tokens(self, example: PairExample) -> list[TokenScore]:
-        seed = [t.lower for t in example.seed_title_tokens]
+        seed = example.seed_title_tokens
         return [
-            TokenScore(
-                tok.lower,
-                tok.word_index,
-                embedding_token_relevance(tok.lower, seed, self.table),
-            )
-            for tok in example.similar_title_tokens
+            TokenScore(tok, i, embedding_token_relevance(tok, seed, self.table))
+            for i, tok in enumerate(example.similar_title_tokens)
         ]
 
 
@@ -390,25 +378,20 @@ class ExternalScores(ScoredExplainer):
         self,
         scores: dict[PairKey, list[tuple[str, float]]],
         generative: bool = False,
-        selector: str = "topk",
         k: int | None = None,
-        p: float = 0.30,
-        cap_fraction: float = 0.40,
+        **selection,
     ):
+        super().__init__(k=k if k is not None else (4 if generative else 3), **selection)
         self.scores = scores
         self.generative = generative
-        self.selector = selector
-        self.k = k if k is not None else (4 if generative else 3)
-        self.p = p
-        self.cap_fraction = cap_fraction
 
     def score_tokens(self, example: PairExample) -> list[TokenScore] | None:
         entries = self.scores.get(example.pair_key)
         if entries is None:
             return None
         first_pos: dict[str, int] = {}
-        for tok in example.similar_title_tokens:
-            first_pos.setdefault(tok.lower, tok.word_index)
+        for i, tok in enumerate(example.similar_title_tokens):
+            first_pos.setdefault(tok, i)
         result = []
         for token, score in entries:
             if token not in first_pos:

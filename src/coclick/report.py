@@ -40,9 +40,9 @@ def render_title(title: str, positions: set[int], fmt: str = "plain") -> str:
             raise CoclickError(f"position {pos} out of range for title {title!r}")
     out = []
     cursor = 0
-    for tok in tokens:
+    for i, tok in enumerate(tokens):
         out.append(title[cursor : tok.start])
-        if tok.word_index in positions:
+        if i in positions:
             out.append(f"{open_mark}{tok.text}{close_mark}")
         else:
             out.append(tok.text)

@@ -84,18 +84,17 @@ def extract_features(
             f"similar title of pair ({example.seed_id}, {example.similar_id}) has "
             f"{len(example.similar_title_tokens)} tokens and cannot fit max_len={max_len}"
         )
-    seed_title_lower = [t.lower for t in example.seed_title_tokens[:budget]]
-    budget -= len(seed_title_lower)
-    title_set = set(seed_title_lower)
-    abstract_set = {t.lower for t in example.seed_abstract_tokens[:budget]}
+    seed_title = example.seed_title_tokens[:budget]
+    budget -= len(seed_title)
+    title_set = set(seed_title)
+    abstract_set = set(example.seed_abstract_tokens[:budget])
 
     n = len(example.similar_title_tokens)
     rows = []
-    for tok in example.similar_title_tokens:
-        word = tok.lower
+    for i, word in enumerate(example.similar_title_tokens):
         in_title = 1.0 if word in title_set else 0.0
         in_abstract = 1.0 if word in abstract_set else 0.0
-        rel_pos = tok.word_index / max(1, n - 1)
+        rel_pos = i / max(1, n - 1)
         common = [
             idf.idf(word),
             rel_pos,
@@ -117,7 +116,7 @@ def feature_names(merge_seed_features: bool = False) -> tuple[str, ...]:
 def title_labels(example: PairExample) -> np.ndarray:
     """Per-position gold labels for the similar title."""
     return np.array(
-        [1.0 if t.lower in example.gold_tokens else 0.0 for t in example.similar_title_tokens],
+        [1.0 if t in example.gold_tokens else 0.0 for t in example.similar_title_tokens],
         dtype=np.float64,
     )
 
@@ -216,12 +215,8 @@ class TokenTagger(Explainer):
                 raise DatasetError("TokenTagger needs an idf table or training examples")
             docs: dict[str, list[str]] = {}
             for ex in train_examples:
-                docs.setdefault(
-                    ex.seed_id,
-                    [t.lower for t in ex.seed_title_tokens]
-                    + [t.lower for t in ex.seed_abstract_tokens],
-                )
-                docs.setdefault(ex.similar_id, [t.lower for t in ex.similar_title_tokens])
+                docs.setdefault(ex.seed_id, ex.seed_title_tokens + ex.seed_abstract_tokens)
+                docs.setdefault(ex.similar_id, ex.similar_title_tokens)
             idf = compute_idf(docs[key] for key in sorted(docs))
         return idf, stopwords
 
@@ -327,11 +322,7 @@ class TokenTagger(Explainer):
 
     def _tokens_from_probs(self, example: PairExample, probs: np.ndarray) -> set[str]:
         threshold = self.decision_threshold
-        return {
-            tok.lower
-            for tok, p in zip(example.similar_title_tokens, probs)
-            if p >= threshold
-        }
+        return {tok for tok, p in zip(example.similar_title_tokens, probs) if p >= threshold}
 
     def predict_proba(self, example: PairExample) -> np.ndarray:
         check_fitted(self, "weights_")
@@ -369,21 +360,35 @@ class TokenTagger(Explainer):
         idf: IdfTable | None = None,
         stopwords: set[str] | None = None,
     ) -> "TokenTagger":
-        record = json.load(fh)
-        if record.get("version") != CHECKPOINT_VERSION:
-            raise DatasetError(f"unsupported checkpoint version {record.get('version')!r}")
-        config = record["config"]
-        tagger = cls(
-            **{name: config[name] for name in HYPERPARAMETERS}, idf=idf, stopwords=stopwords
-        )
-        tagger.feature_names_ = tuple(record["feature_names"])
-        expected = feature_names(config["merge_seed_features"])
+        """Restore a tagger saved by :meth:`save`.
+
+        A checkpoint that is not JSON, has another version, or lacks or
+        garbles a key raises :class:`DatasetError` naming the problem.
+        """
+        try:
+            record = json.load(fh)
+        except ValueError as exc:
+            raise DatasetError(f"checkpoint is not JSON: {exc}") from exc
+        version = record.get("version") if isinstance(record, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise DatasetError(f"unsupported checkpoint version {version!r}")
+        try:
+            config = record["config"]
+            tagger = cls(
+                **{name: config[name] for name in HYPERPARAMETERS}, idf=idf, stopwords=stopwords
+            )
+            tagger.feature_names_ = tuple(record["feature_names"])
+            tagger.weights_ = np.array(record["weights"], dtype=np.float64)
+            tagger.step_ = int(record["step"])
+        except KeyError as exc:
+            raise DatasetError(f"checkpoint has no key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"bad checkpoint: {exc}") from exc
+        expected = feature_names(tagger.merge_seed_features)
         if tagger.feature_names_ != expected:
             raise DatasetError("checkpoint feature names do not match this build")
-        tagger.weights_ = np.array(record["weights"], dtype=np.float64)
-        if len(tagger.weights_) != len(expected):
+        if tagger.weights_.shape != (len(expected),):
             raise DatasetError("checkpoint weight vector has the wrong dimension")
-        tagger.step_ = int(record["step"])
         if idf is not None:
             tagger.idf_ = idf
         if stopwords is not None:

@@ -18,12 +18,15 @@ EDGE_PUNCT = set(".,;:!?\"'()[]")
 
 @dataclass(frozen=True)
 class WordToken:
-    """A word-level token with its source span and position."""
+    """A word-level token with its source span.
+
+    Only title rendering reads the span. Datasets, explainers and metrics
+    keep lowercase token strings, where a position is the list index.
+    """
 
     text: str
     start: int
     end: int
-    word_index: int
 
     @property
     def lower(self) -> str:
@@ -62,11 +65,11 @@ def _split_chunk(text: str, start: int, end: int, out: list[WordToken]) -> None:
         trailing.append(right - 1)
         right -= 1
     for i in leading:
-        out.append(WordToken(text[i], i, i + 1, len(out)))
+        out.append(WordToken(text[i], i, i + 1))
     if left < right:
-        out.append(WordToken(text[left:right], left, right, len(out)))
+        out.append(WordToken(text[left:right], left, right))
     for i in reversed(trailing):
-        out.append(WordToken(text[i], i, i + 1, len(out)))
+        out.append(WordToken(text[i], i, i + 1))
 
 
 def unique_lower(tokens: Sequence[WordToken]) -> list[str]:
@@ -77,6 +80,6 @@ def unique_lower(tokens: Sequence[WordToken]) -> list[str]:
     return list(seen)
 
 
-def positions_of(tokens: Sequence[WordToken], selected: set[str]) -> set[int]:
-    """Every position whose lowercase token is in ``selected``."""
-    return {t.word_index for t in tokens if t.lower in selected}
+def positions_of(tokens: Sequence[str], selected: set[str]) -> set[int]:
+    """Every index into the lowercase ``tokens`` whose token is in ``selected``."""
+    return {i for i, t in enumerate(tokens) if t in selected}

@@ -221,7 +221,7 @@ class TestOtherBackends:
 
         with open(workdir / "data.test.jsonl", encoding="utf-8") as fh:
             examples = load_dataset(fh)
-        vocab = sorted({t.lower for ex in examples for t in ex.similar_title_tokens})[:20]
+        vocab = sorted({t for ex in examples for t in ex.similar_title_tokens})[:20]
         emb = tmp_path / "vectors.txt"
         with open(emb, "w", encoding="utf-8") as fh:
             fh.write(f"{len(vocab)} 3\n")
@@ -243,18 +243,28 @@ class TestOtherBackends:
         scores = tmp_path / "scores.jsonl"
         with open(scores, "w", encoding="utf-8") as fh:
             for ex in examples[:-1]:  # leave one uncovered to exercise the skip tally
-                entries = [{"token": tok, "score": 2.0} for tok in sorted(ex.gold_tokens)]
+                # distinct scores, so top-3 and top-4 differ on every title
+                tokens = ex.unique_title_tokens()
+                entries = [{"token": tok, "score": float(len(tokens) - i)} for i, tok in enumerate(tokens)]
                 fh.write(json.dumps({
                     "seed_id": ex.seed_id, "similar_id": ex.similar_id, "scores": entries,
                 }) + "\n")
-        out = tmp_path / "pred.external.jsonl"
-        assert main([
-            "explain", "--dataset", str(workdir / "data.test.jsonl"),
-            "--backend", "external", "--scores", str(scores), "--generative",
-            "--out", str(out),
-        ]) == 0
-        preds = [json.loads(line) for line in out.read_text("utf-8").splitlines()]
+
+        def explain(name, *flags):
+            out = tmp_path / f"pred.{name}.jsonl"
+            assert main([
+                "explain", "--dataset", str(workdir / "data.test.jsonl"),
+                "--backend", "external", "--scores", str(scores), *flags,
+                "--out", str(out),
+            ]) == 0
+            return out.read_text("utf-8")
+
+        generative = explain("generative", "--generative")
+        preds = [json.loads(line) for line in generative.splitlines()]
         assert len(preds) == len(examples) - 1
+        assert all(len(p["tokens"]) == 4 for p in preds)
+        assert generative == explain("k4", "--k", "4")
+        assert generative != explain("k3", "--k", "3")
 
     def test_generative_flag_leaves_bm25_top_k_alone(self, workdir, tmp_path):
         out = tmp_path / "pred.bm25.generative.jsonl"
@@ -392,6 +402,38 @@ class TestExitCodes:
         assert "unsupported checkpoint version 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_checkpoint_without_config_fails_explain_without_traceback(self, workdir, tmp_path):
+        checkpoint = tmp_path / "tagger.bare.json"
+        checkpoint.write_text('{"version": 2}', encoding="utf-8")
+        proc = run_cli(
+            "explain",
+            "--dataset", workdir / "data.test.jsonl",
+            "--backend", "tagger",
+            "--articles", workdir / "articles.tsv",
+            "--checkpoint", checkpoint,
+            "--out", tmp_path / "p.jsonl",
+        )
+        assert proc.returncode == 1
+        assert "'config'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "vectors, where",
+        [("1 x\nalpha 1\n", "line 1"), ("1 2\nalpha abc 1\n", "line 2"), ("1 2\nalpha inf 1\n", "line 2")],
+    )
+    def test_bad_embeddings_fail_explain_without_traceback(self, workdir, tmp_path, vectors, where):
+        emb = tmp_path / "vectors.txt"
+        emb.write_text(vectors, encoding="utf-8")
+        proc = run_cli(
+            "explain",
+            "--dataset", workdir / "data.test.jsonl",
+            "--backend", "embed", "--embeddings", emb,
+            "--out", tmp_path / "p.jsonl",
+        )
+        assert proc.returncode == 1
+        assert where in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_backend_without_companion_flag_is_usage_error(self, workdir, tmp_path, capsys):
         code = main([
             "explain", "--dataset", str(workdir / "data.test.jsonl"),
@@ -429,6 +471,22 @@ class TestConfigFile:
             "--seed", "0",
         ]) == 0
         assert Path(f"{prefix_b}.train.jsonl").read_text("utf-8") == ""
+
+
+    def test_config_without_value_is_usage_error(self, tmp_path):
+        proc = run_cli("ingest", "--log", tmp_path / "x", "--out", tmp_path / "y", "--config")
+        assert proc.returncode == 2
+        assert "--config" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_config_line_without_equals_is_runtime_error(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("p 0.11\n", encoding="utf-8")
+        proc = run_cli("ingest", "--log", tmp_path / "x", "--out", tmp_path / "y", "--config", config)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "p 0.11" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Dataset builder tests: counting, gold selection, filters, splits, idf, IO."""
 
 import io
+import json
 import math
 import random
 
@@ -15,13 +16,13 @@ from coclick.dataset import (
     count_title_token_clicks,
     filter_pair,
     load_dataset,
+    lower_tokens,
     select_gold_tokens,
     split_dataset,
     write_dataset,
 )
 from coclick.logs import Article, PairAggregate, parse_log
 from coclick.scoring import compute_idf, max_scaled_softmax
-from coclick.text import word_tokenize
 
 from oracle_builder import oracle_build
 
@@ -41,28 +42,39 @@ def make_example(**overrides):
     return PairExample(**fields)
 
 
+def dataset_line(**overrides):
+    """One dataset JSON line (title "a b c", gold "a"), with fields overridden."""
+    record = {
+        "seed_id": "S", "similar_id": "T", "seed_title": "x", "seed_abstract": "",
+        "similar_title": "a b c", "token_counts": {"a": 3, "b": 0, "c": 0},
+        "combined_clicks": 5, "gold_tokens": ["a"],
+    }
+    record.update(overrides)
+    return json.dumps(record) + "\n"
+
+
 class TestCountTitleTokenClicks:
     def test_hand_summed_counts(self):
         agg = PairAggregate("S", "T", {"covid-19 vaccine": 8, "vaccine": 4})
-        tokens = word_tokenize("Covid-19 vaccine safety")
+        tokens = lower_tokens("Covid-19 vaccine safety")
         counts = count_title_token_clicks(agg, tokens)
         assert counts.counts == {"covid-19": 8, "vaccine": 12, "safety": 0}
 
     def test_disjoint_query_gives_zeros(self):
         agg = PairAggregate("S", "T", {"unrelated terms": 9})
-        counts = count_title_token_clicks(agg, word_tokenize("alpha beta gamma"))
+        counts = count_title_token_clicks(agg, lower_tokens("alpha beta gamma"))
         assert counts.counts == {"alpha": 0, "beta": 0, "gamma": 0}
         assert counts.total == 0
 
     def test_duplicate_title_token_single_key(self):
         agg = PairAggregate("S", "T", {"dose": 5})
-        counts = count_title_token_clicks(agg, word_tokenize("dose response dose"))
+        counts = count_title_token_clicks(agg, lower_tokens("dose response dose"))
         assert counts.counts == {"dose": 5, "response": 0}
 
     def test_query_token_matched_once_per_query(self):
         # "dose dose" contains the token twice but contributes its count once
         agg = PairAggregate("S", "T", {"dose dose": 3})
-        counts = count_title_token_clicks(agg, word_tokenize("dose curve"))
+        counts = count_title_token_clicks(agg, lower_tokens("dose curve"))
         assert counts.counts["dose"] == 3
 
 
@@ -129,12 +141,12 @@ class TestFilterPair:
         assert filter_pair(19, ex.similar_title_tokens, ex.token_counts) == "min_clicks"
 
     def test_six_token_title_dropped(self):
-        tokens = word_tokenize("one two three four five six")
-        counts = TokenClickCounts({t.lower: 1 for t in tokens})
+        tokens = lower_tokens("one two three four five six")
+        counts = TokenClickCounts({t: 1 for t in tokens})
         assert filter_pair(50, tokens, counts) == "min_title_len"
 
     def test_two_nonzero_tokens_dropped(self):
-        tokens = word_tokenize("a b c d e f g")
+        tokens = lower_tokens("a b c d e f g")
         counts = TokenClickCounts({"a": 5, "b": 3, "c": 0, "d": 0, "e": 0, "f": 0, "g": 0})
         assert filter_pair(50, tokens, counts) == "min_nonzero"
 
@@ -146,8 +158,8 @@ class TestFilterPair:
         rng = random.Random(31)
         for _ in range(1000):
             n = rng.randint(1, 15)
-            tokens = word_tokenize(" ".join(f"w{i}" for i in range(n)))
-            counts = TokenClickCounts({t.lower: rng.randint(0, 4) for t in tokens})
+            tokens = lower_tokens(" ".join(f"w{i}" for i in range(n)))
+            counts = TokenClickCounts({t: rng.randint(0, 4) for t in tokens})
             clicks = rng.randint(0, 60)
             reason = filter_pair(clicks, tokens, counts)
             if reason is None:
@@ -322,7 +334,7 @@ class TestDatasetIO:
         assert len(loaded) == 1
         assert loaded[0].gold_tokens == {"alpha", "beta"}
         assert loaded[0].combined_clicks == 25
-        assert [t.text for t in loaded[0].similar_title_tokens] == [
+        assert loaded[0].similar_title_tokens == [
             "alpha", "beta", "gamma", "delta", "eps", "zeta", "eta",
         ]
 
@@ -338,6 +350,31 @@ class TestDatasetIO:
     def test_malformed_json_rejected(self):
         with pytest.raises(DatasetError):
             load_dataset(io.StringIO("{not json"))
+
+    def test_zero_token_counts_load(self):
+        loaded = load_dataset(io.StringIO(dataset_line()))
+        assert loaded[0].token_counts.counts == {"a": 3, "b": 0, "c": 0}
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"token_counts": {"a": 2.7}}, "2.7"),
+            ({"token_counts": {"a": True}}, "True"),
+            ({"token_counts": {"a": -5}}, "-5"),
+            ({"token_counts": ["a"]}, "token_counts"),
+            ({"combined_clicks": 3.9}, "combined_clicks"),
+            ({"combined_clicks": -1}, "combined_clicks"),
+            ({"seed_id": 7}, "seed_id"),
+            ({"similar_title": None}, "similar_title"),
+            ({"gold_tokens": "a"}, "gold_tokens"),
+            ({"gold_tokens": ["a", 1]}, "gold_tokens"),
+        ],
+    )
+    def test_bad_field_rejected_with_line_number(self, override, message):
+        text = dataset_line() + dataset_line(similar_id="U", **override)
+        with pytest.raises(DatasetError, match="line 2") as exc:
+            load_dataset(io.StringIO(text))
+        assert message in str(exc.value)
 
 
 class TestEdgeCases:

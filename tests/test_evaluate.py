@@ -6,7 +6,7 @@ import random
 import pytest
 
 from coclick.base import CoclickError
-from coclick.dataset import PairExample, TokenClickCounts
+from coclick.dataset import PairExample, TokenClickCounts, lower_tokens
 from coclick.evaluate import (
     aggregate,
     evaluate_predictions,
@@ -19,11 +19,10 @@ from coclick.evaluate import (
     token_metrics,
     write_metrics_csv,
 )
-from coclick.text import word_tokenize
 
 
 def make_example(similar_title="alpha beta gamma", gold=("alpha",), clicks=30, pair=("S1", "T1")):
-    tokens = word_tokenize(similar_title)
+    tokens = lower_tokens(similar_title)
     return PairExample(
         seed_id=pair[0],
         similar_id=pair[1],
@@ -31,7 +30,7 @@ def make_example(similar_title="alpha beta gamma", gold=("alpha",), clicks=30, p
         seed_abstract="",
         similar_title=similar_title,
         gold_tokens=set(gold),
-        token_counts=TokenClickCounts({t.lower: 1 for t in tokens}),
+        token_counts=TokenClickCounts({t: 1 for t in tokens}),
         combined_clicks=clicks,
     )
 
@@ -63,7 +62,7 @@ class TestTokenMetrics:
 
 class TestTitleMetrics:
     def test_duplicate_positions_counted(self):
-        tokens = word_tokenize("dose response dose curve")
+        tokens = lower_tokens("dose response dose curve")
         r, p = title_metrics(tokens, {"dose", "curve"}, {"dose"})
         assert r == pytest.approx(2 / 3)
         assert p == 1.0
@@ -73,13 +72,13 @@ class TestTitleMetrics:
         vocab = [f"w{i}" for i in range(30)]
         for _ in range(300):
             words = rng.sample(vocab, rng.randint(1, 10))
-            tokens = word_tokenize(" ".join(words))
+            tokens = lower_tokens(" ".join(words))
             gold = {w for w in words if rng.random() < 0.4}
             pred = {w for w in words if rng.random() < 0.4}
             assert title_metrics(tokens, gold, pred) == token_metrics(gold, pred)
 
     def test_pred_token_absent_contributes_nothing(self):
-        tokens = word_tokenize("a b c")
+        tokens = lower_tokens("a b c")
         r, p = title_metrics(tokens, {"a"}, {"a", "zzz"})
         assert (r, p) == (1.0, 1.0)
 

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from coclick.base import DatasetError
-from coclick.dataset import PairExample, TokenClickCounts
+from coclick.base import ConfigError, DatasetError
+from coclick.dataset import PairExample, TokenClickCounts, lower_tokens
 from coclick.explain import (
     Bm25,
     EmbeddingRelevance,
@@ -28,12 +28,11 @@ from coclick.explain import (
 )
 from coclick.explain import EmbeddingTable
 from coclick.scoring import IdfTable, compute_idf
-from coclick.text import word_tokenize
 
 
 def make_example(seed_title, similar_title, seed_abstract="", gold=None, pair=("S1", "T1")):
-    tokens = word_tokenize(similar_title)
-    counts = TokenClickCounts({t.lower: 1 for t in tokens})
+    tokens = lower_tokens(similar_title)
+    counts = TokenClickCounts({t: 1 for t in tokens})
     return PairExample(
         seed_id=pair[0],
         similar_id=pair[1],
@@ -71,28 +70,28 @@ class TestHighlightAll:
 
 class TestOverlapper:
     def test_shared_tokens_minus_stopwords(self):
-        seed = word_tokenize("Safety of X Vaccine")
-        similar = word_tokenize("Efficacy of X Vaccine")
+        seed = lower_tokens("Safety of X Vaccine")
+        similar = lower_tokens("Efficacy of X Vaccine")
         got = overlapper(seed, similar, stopwords={"of"})
         assert got == {2, 3}  # x, vaccine
 
     def test_disjoint_titles_empty(self):
         got = overlapper(
-            word_tokenize("alpha beta"), word_tokenize("gamma delta"), stopwords=set()
+            lower_tokens("alpha beta"), lower_tokens("gamma delta"), stopwords=set()
         )
         assert got == set()
 
     def test_seed_document_sharing_all_content_words(self):
-        seed = word_tokenize("The Safety and Efficacy of the BNT162b2 mRNA Covid-19 Vaccine in trials")
-        similar = word_tokenize("Safety and Efficacy of the BNT162b2 mRNA Covid-19 Vaccine.")
+        seed = lower_tokens("The Safety and Efficacy of the BNT162b2 mRNA Covid-19 Vaccine in trials")
+        similar = lower_tokens("Safety and Efficacy of the BNT162b2 mRNA Covid-19 Vaccine.")
         got = overlapper(seed, similar, stopwords=load_stopwords())
-        texts = {similar[i].text for i in got}
-        assert texts == {"Safety", "Efficacy", "BNT162b2", "mRNA", "Covid-19", "Vaccine"}
+        texts = {similar[i] for i in got}
+        assert texts == {"safety", "efficacy", "bnt162b2", "mrna", "covid-19", "vaccine"}
 
     def test_idf_floor_excludes_common_tokens(self):
         idf = compute_idf([["x", "common"], ["common"], ["y", "common"]])
-        seed = word_tokenize("x common")
-        similar = word_tokenize("x common")
+        seed = lower_tokens("x common")
+        similar = lower_tokens("x common")
         assert overlapper(seed, similar, set(), idf, idf_floor=0.5) == {0}
 
     def test_no_stopword_ever_selected(self):
@@ -100,10 +99,10 @@ class TestOverlapper:
         stopwords = load_stopwords()
         pool = list(stopwords)[:20] + ["alpha", "beta", "gamma"]
         for _ in range(200):
-            seed = word_tokenize(" ".join(rng.choices(pool, k=rng.randint(1, 10))))
-            similar_tokens = word_tokenize(" ".join(rng.choices(pool, k=rng.randint(1, 10))))
+            seed = lower_tokens(" ".join(rng.choices(pool, k=rng.randint(1, 10))))
+            similar_tokens = lower_tokens(" ".join(rng.choices(pool, k=rng.randint(1, 10))))
             got = overlapper(seed, similar_tokens, stopwords)
-            assert all(similar_tokens[i].lower not in stopwords for i in got)
+            assert all(similar_tokens[i] not in stopwords for i in got)
 
 
 class TestBm25:
@@ -178,10 +177,20 @@ class TestEmbeddingRelevance:
         with pytest.raises(DatasetError):
             load_embeddings(io.StringIO("1 2\nx nan 0\n"))
 
+    @pytest.mark.parametrize("header", ["1 x", "1", "1 2 3", "1 0", "x 2"])
+    def test_bad_header_fatal_with_line_number(self, header):
+        with pytest.raises(DatasetError, match="line 1"):
+            load_embeddings(io.StringIO(f"{header}\nx 1 0\n"))
+
+    @pytest.mark.parametrize("component", ["abc", "inf", "-inf", "1e999"])
+    def test_bad_component_fatal_with_line_number(self, component):
+        with pytest.raises(DatasetError, match="line 3"):
+            load_embeddings(io.StringIO(f"2 2\nx 1 0\ny {component} 0\n"))
+
 
 def scores_for(title, values):
-    tokens = word_tokenize(title)
-    return [TokenScore(t.lower, t.word_index, v) for t, v in zip(tokens, values)]
+    tokens = lower_tokens(title)
+    return [TokenScore(t, i, v) for i, (t, v) in enumerate(zip(tokens, values))]
 
 
 class TestSelectTopK:
@@ -293,6 +302,48 @@ class TestExternalScores:
     def test_generative_default_k_is_four(self):
         assert ExternalScores({}, generative=True).k == 4
         assert ExternalScores({}).k == 3
+        assert ExternalScores({}, generative=True, k=2).k == 2
+
+
+class TestScoredExplainerSelection:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda **kw: Bm25(**kw),
+            lambda **kw: EmbeddingRelevance(EmbeddingTable(dim=1, vectors={}), **kw),
+            lambda **kw: ExternalScores({}, **kw),
+        ],
+    )
+    def test_every_scored_backend_takes_the_selection_arguments(self, make):
+        backend = make(selector="softmax", k=5, p=0.2, cap_fraction=0.6)
+        assert (backend.selector, backend.k, backend.p, backend.cap_fraction) == ("softmax", 5, 0.2, 0.6)
+        default = make()
+        assert (default.selector, default.p, default.cap_fraction) == ("topk", 0.30, 0.40)
+
+    @pytest.mark.parametrize("make", [Bm25, lambda **kw: ExternalScores({}, **kw)])
+    def test_unknown_selector_rejected_at_construction(self, make):
+        with pytest.raises(ConfigError, match="bogus"):
+            make(selector="bogus")
+
+    def test_softmax_selection_reaches_the_backend(self):
+        ex = make_example("s", "alpha beta gamma delta eps")
+        scores = {ex.pair_key: [("alpha", 9.0), ("beta", 0.0), ("gamma", 0.0), ("delta", 0.0), ("eps", 0.0)]}
+        backend = ExternalScores(scores, selector="softmax", p=0.30, cap_fraction=1.0)
+        assert backend.predict_tokens(ex) == {"alpha"}
+
+
+class TestOverlapperStopwords:
+    def test_packaged_list_read_once(self, monkeypatch):
+        import coclick.explain
+
+        reads = []
+        real = coclick.explain.load_stopwords
+        monkeypatch.setattr(coclick.explain, "load_stopwords", lambda *a: reads.append(a) or real(*a))
+        backend = Overlapper()
+        ex = make_example("The Safety of X", "Safety of the X vaccine")
+        preds = [backend.predict_tokens(ex) for _ in range(5)]
+        assert len(reads) == 1
+        assert preds == [{"safety", "x"}] * 5
 
 
 class TestStopwordList:

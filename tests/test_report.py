@@ -5,7 +5,7 @@ import io
 import pytest
 
 from coclick.base import CoclickError
-from coclick.dataset import PairExample, TokenClickCounts
+from coclick.dataset import PairExample, TokenClickCounts, lower_tokens
 from coclick.report import (
     corpus_stats,
     emit_ab_study,
@@ -15,13 +15,12 @@ from coclick.report import (
     tally_preferences,
     write_csv,
 )
-from coclick.text import word_tokenize
 
 TABLE_TITLE = "Safety and Efficacy of the BNT162b2 mRNA Covid-19 Vaccine."
 
 
 def make_example(similar_title="alpha beta gamma delta", gold=("alpha",), clicks=30, pair=("S1", "T1")):
-    tokens = word_tokenize(similar_title)
+    tokens = lower_tokens(similar_title)
     return PairExample(
         seed_id=pair[0],
         similar_id=pair[1],
@@ -29,7 +28,7 @@ def make_example(similar_title="alpha beta gamma delta", gold=("alpha",), clicks
         seed_abstract="",
         similar_title=similar_title,
         gold_tokens=set(gold),
-        token_counts=TokenClickCounts({t.lower: 1 for t in tokens}),
+        token_counts=TokenClickCounts({t: 1 for t in tokens}),
         combined_clicks=clicks,
     )
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from coclick.base import DatasetError, TrainingDiverged
-from coclick.dataset import PairExample, TokenClickCounts
+from coclick.dataset import PairExample, TokenClickCounts, lower_tokens
 from coclick.tagger import (
     FEATURES_MERGED,
     FEATURES_SPLIT,
@@ -22,11 +22,10 @@ from coclick.tagger import (
     title_labels,
 )
 from coclick.scoring import compute_idf
-from coclick.text import word_tokenize
 
 
 def make_example(seed_title, similar_title, seed_abstract="", gold=(), pair=("S1", "T1")):
-    tokens = word_tokenize(similar_title)
+    tokens = lower_tokens(similar_title)
     return PairExample(
         seed_id=pair[0],
         similar_id=pair[1],
@@ -34,7 +33,7 @@ def make_example(seed_title, similar_title, seed_abstract="", gold=(), pair=("S1
         seed_abstract=seed_abstract,
         similar_title=similar_title,
         gold_tokens=set(gold),
-        token_counts=TokenClickCounts({t.lower: 1 for t in tokens}),
+        token_counts=TokenClickCounts({t: 1 for t in tokens}),
         combined_clicks=30,
     )
 
@@ -133,7 +132,7 @@ class TestTaggerInput:
 class TestModelMath:
     def _batch(self, rng, n_examples=4):
         examples = separable_examples(n_examples, rng)
-        idf = compute_idf([[t.lower for t in ex.similar_title_tokens] for ex in examples])
+        idf = compute_idf([ex.similar_title_tokens for ex in examples])
         x = np.concatenate([extract_features(ex, idf, set()) for ex in examples])
         y = np.concatenate([title_labels(ex) for ex in examples])
         return x, y
@@ -163,7 +162,7 @@ class TestModelMath:
     def test_large_margin_weights_drive_loss_down(self):
         rng = random.Random(11)
         examples = separable_examples(8, rng)
-        idf = compute_idf([[t.lower for t in ex.similar_title_tokens] for ex in examples])
+        idf = compute_idf([ex.similar_title_tokens for ex in examples])
         x = np.concatenate([extract_features(ex, idf, set()) for ex in examples])
         y = np.concatenate([title_labels(ex) for ex in examples])
         # gold iff in_seed_title: +20 on that feature, -10 bias
@@ -301,7 +300,7 @@ class TestPredict:
     def test_predictions_subset_of_title(self):
         tagger, test = self._trained()
         for ex in test:
-            title = {t.lower for t in ex.similar_title_tokens}
+            title = set(ex.similar_title_tokens)
             assert tagger.predict(ex) <= title
 
 
@@ -333,6 +332,30 @@ class TestCheckpoint:
         tagger.save(buf)
         with pytest.raises(DatasetError, match="version 1"):
             TokenTagger.load(io.StringIO(version_1_checkpoint(buf.getvalue())))
+
+    @pytest.mark.parametrize(
+        "key", ["config", "feature_names", "weights", "step", *HYPERPARAMETERS]
+    )
+    def test_missing_key_rejected_by_name(self, key):
+        tagger = TokenTagger(total_steps=20, batch_size=8, rng_seed=8).fit(
+            separable_examples(20, random.Random(47))
+        )
+        buf = io.StringIO()
+        tagger.save(buf)
+        record = json.loads(buf.getvalue())
+        if key in record:
+            del record[key]
+        else:
+            del record["config"][key]
+        with pytest.raises(DatasetError, match=repr(key)):
+            TokenTagger.load(io.StringIO(json.dumps(record)))
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[2]", '{"version": 2, "config": [], "feature_names": [], "weights": [], "step": 0}']
+    )
+    def test_garbled_checkpoint_rejected(self, text):
+        with pytest.raises(DatasetError):
+            TokenTagger.load(io.StringIO(text))
 
     def test_config_round_trips_every_hyperparameter(self):
         tagger = TokenTagger(
