@@ -231,6 +231,19 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
+def _config_path(args: list[str]) -> str | None:
+    """The file of the first ``--config FILE`` or ``--config=FILE`` in ``args``.
+
+    A trailing ``--config`` without a value is left for argparse to reject.
+    """
+    for i, arg in enumerate(args):
+        if arg.startswith("--config="):
+            return arg.partition("=")[2]
+        if arg == "--config" and i + 1 < len(args):
+            return args[i + 1]
+    return None
+
+
 def _usage_error(message: str) -> int:
     print(f"usage error: {message}", file=sys.stderr)
     return 2
@@ -497,9 +510,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and not argv[0].startswith("-"):
         rest = argv[1:]
-        # A trailing --config without a value is left for argparse to reject.
-        if "--config" in rest[:-1]:
-            config_path = rest[rest.index("--config") + 1]
+        config_path = _config_path(rest)
+        if config_path is not None:
             try:
                 argv = [argv[0]] + _config_flags(config_path) + rest
             except (ConfigError, OSError) as exc:

@@ -127,10 +127,10 @@ def run_synth(out_dir: str | Path, config: SynthConfig) -> tuple[int, int]:
     Returns the event and article counts, not the events, so that later
     stages do not hold the event list.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     corpus = generate_corpus(config)
     events = generate_sessions(corpus, config)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "raw_log.tsv", "w", encoding="utf-8") as fh:
         write_events(events, fh)
     with open(out_dir / "articles.tsv", "w", encoding="utf-8") as fh:

@@ -17,6 +17,7 @@ context-aware model an edge over seed-title-only scorers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -60,6 +61,22 @@ class SynthConfig:
             raise ConfigError("clusters need at least 2 topic tokens")
         if self.cluster_size < 2:
             raise ConfigError("clusters need at least 2 articles to coclick")
+        clicks = self.clicks_dist
+        if len(clicks) != 3 or not _valid_weights(clicks) or sum(clicks) <= 0:
+            raise ConfigError(
+                "clicks_dist needs 3 finite, non-negative weights with a positive sum, "
+                f"got {clicks}"
+            )
+        if not _valid_weights(self.query_size_weights):
+            raise ConfigError(
+                "query_size_weights must be finite and non-negative (all zero means uniform), "
+                f"got {self.query_size_weights}"
+            )
+
+
+def _valid_weights(weights: tuple[float, ...]) -> bool:
+    """Finite, non-negative entries whose sum is finite too."""
+    return all(math.isfinite(w) and w >= 0 for w in weights) and math.isfinite(sum(weights))
 
 
 @dataclass
@@ -85,6 +102,18 @@ def _zipf_weights(n: int, exponent: float) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks**-exponent
     return weights / weights.sum()
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(n, p=p)`` builds on every call.
+
+    ``int(cdf.searchsorted(rng.random(), side="right"))`` then draws the same
+    index from the same bits as ``rng.choice(len(p), p=p)``, without the
+    per-call checks and setup.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def generate_corpus(config: SynthConfig) -> SynthCorpus:
@@ -149,44 +178,57 @@ def generate_sessions(corpus: SynthCorpus, config: SynthConfig) -> list[SessionE
     The target article is always the rank-1 click, so it is the seed of every
     coclick pair the session produces; queries are subsets of its topic
     tokens, 1 to 4 tokens long.
+
+    The draw stream is part of the reproducibility contract: each session
+    consumes the generator exactly as per-call ``rng.choice`` did
+    (``tests/oracle_sessions.py`` keeps that loop), so the event log for a
+    given config and seed never changes. The weighted draws go through CDFs
+    built once, and the uniform pick of a further click uses
+    ``rng.integers``; the query-token subset stays a ``rng.choice`` call.
     """
     config.validate()
     if not corpus.articles:
         raise ConfigError("cannot generate sessions over an empty corpus")
     rng = np.random.default_rng(config.rng_seed + 1)
     ids = [a.article_id for a in corpus.articles]
-    popularity = _zipf_weights(len(ids), config.article_zipf)
     by_cluster: dict[int, list[str]] = {}
     for aid in ids:
         by_cluster.setdefault(corpus.cluster_of[aid], []).append(aid)
 
     click_counts = np.array(config.clicks_dist, dtype=np.float64)
     click_counts /= click_counts.sum()
+    click_cdf = _choice_cdf(click_counts)
+    popularity_cdf = _choice_cdf(_zipf_weights(len(ids), config.article_zipf))
+    size_cdfs: dict[int, np.ndarray] = {}
+    for n_topics in {len(corpus.topics[aid]) for aid in ids}:
+        size_weights = np.array(config.query_size_weights[:n_topics], dtype=np.float64)
+        if size_weights.sum() <= 0:
+            size_weights = np.ones(min(4, n_topics))
+        size_weights /= size_weights.sum()
+        size_cdfs[n_topics] = _choice_cdf(size_weights)
+    mates_of = {
+        aid: [a for a in by_cluster[corpus.cluster_of[aid]] if a != aid] for aid in ids
+    }
 
     events: list[SessionEvent] = []
     for s in range(config.sessions):
         session_id = f"s{s:07d}"
-        target = ids[int(rng.choice(len(ids), p=popularity))]
+        target = ids[int(popularity_cdf.searchsorted(rng.random(), side="right"))]
         topics = corpus.topics[target]
-        size_weights = np.array(config.query_size_weights[: len(topics)], dtype=np.float64)
-        if size_weights.sum() <= 0:
-            size_weights = np.ones(min(4, len(topics)))
-        size_weights /= size_weights.sum()
-        q_size = int(rng.choice(len(size_weights), p=size_weights)) + 1
+        q_size = int(size_cdfs[len(topics)].searchsorted(rng.random(), side="right")) + 1
         chosen = rng.choice(len(topics), size=q_size, replace=False)
         query = " ".join(topics[i] for i in chosen)
 
-        n_clicks = int(rng.choice(3, p=click_counts)) + 1
+        n_clicks = int(click_cdf.searchsorted(rng.random(), side="right")) + 1
         clicked = [target]
-        cluster_mates = [a for a in by_cluster[corpus.cluster_of[target]] if a != target]
         for _ in range(n_clicks - 1):
-            pool = cluster_mates if rng.random() < config.same_cluster_bias else ids
+            pool = mates_of[target] if rng.random() < config.same_cluster_bias else ids
             choices = [a for a in pool if a not in clicked]
             if not choices:
                 choices = [a for a in ids if a not in clicked]
             if not choices:
                 break
-            clicked.append(choices[int(rng.choice(len(choices)))])
+            clicked.append(choices[int(rng.integers(0, len(choices)))])
 
         for rank, article_id in enumerate(clicked, start=1):
             events.append(

@@ -488,6 +488,42 @@ class TestConfigFile:
         assert "p 0.11" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_config_equals_form_fails_like_separate_form(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("p 0.11\n", encoding="utf-8")
+        args = ("ingest", "--log", tmp_path / "x", "--out", tmp_path / "y")
+        separate = run_cli(*args, "--config", config)
+        joined = run_cli(*args, f"--config={config}")
+        assert joined.returncode == separate.returncode == 1
+        assert joined.stderr == separate.stderr
+        assert "p 0.11" in joined.stderr
+        assert "Traceback" not in joined.stderr
+
+    def test_config_equals_form_supplies_defaults(self, tmp_path, capsys):
+        config = tmp_path / "synth.cfg"
+        config.write_text("n_articles=12\nsessions=30\n", encoding="utf-8")
+        assert main(["synth", "--out-dir", str(tmp_path / "w"), f"--config={config}"]) == 0
+        assert "for 12 articles" in capsys.readouterr().out
+
+
+class TestSynthWeights:
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--clicks-dist=-1,1,1", "clicks_dist"),
+            ("--clicks-dist=0,0,0", "clicks_dist"),
+            ("--clicks-dist=nan,1,1", "clicks_dist"),
+            ("--query-sizes=-1,1,1,1", "query_size_weights"),
+        ],
+    )
+    def test_bad_weights_exit_1_without_traceback(self, tmp_path, flag, field):
+        proc = run_cli("synth", "--out-dir", tmp_path / "w", "--n-articles", 8, "--sessions", 5, flag)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "w").exists()
+
 
 class TestDeterminism:
     def test_rerun_build_is_byte_identical(self, workdir, tmp_path):

@@ -1,9 +1,11 @@
 """Generator tests: determinism, planted structure, power-law clicks, round trips."""
 
+import hashlib
 import io
 from collections import Counter
 
 import pytest
+from oracle_sessions import oracle_sessions
 
 from coclick.base import ConfigError
 from coclick.dataset import load_dataset
@@ -151,6 +153,80 @@ class TestGenerateSessions:
         buf.seek(0)
         loaded = read_metadata(buf)
         assert list(loaded.values()) == corpus.articles
+
+
+class TestSessionDrawStream:
+    """The event log is part of the reproducibility contract: pin its draw stream."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            # three clicks from a 2-article cluster: the mates run out
+            dict(cluster_size=2, clicks_dist=(0, 0, 1)),
+            # every article clicked: the session stops early
+            dict(n_articles=2, cluster_size=2, clicks_dist=(0, 0, 1)),
+            dict(topics_per_cluster=6),
+            # all-zero query-size weights fall back to uniform over 1..min(4, topics)
+            dict(query_size_weights=(0, 0)),
+            dict(topics_per_cluster=6, query_size_weights=(0, 0)),
+            # zero weight on the 2-topic prefix only: uniform for 2-topic targets
+            dict(topics_per_cluster=3, query_size_weights=(0, 0, 1)),
+            dict(extra_topic_prob=0.5, same_cluster_bias=0.2),
+        ],
+        ids=[
+            "default", "cluster-exhausted", "all-clicked", "six-topics", "zero-size-weights",
+            "six-topics-zero-weights", "zero-prefix-weights", "mixed-topics-low-bias",
+        ],
+    )
+    def test_matches_per_call_choice_oracle(self, overrides):
+        config = small_config(sessions=600, **overrides)
+        corpus = generate_corpus(config)
+        assert generate_sessions(corpus, config) == oracle_sessions(corpus, config)
+
+    def test_event_log_hash_is_pinned(self):
+        config = small_config()
+        events = generate_sessions(generate_corpus(config), config)
+        buf = io.StringIO()
+        write_events(events, buf)
+        assert len(events) == 3784
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == (
+            "9eff0eccf57710da8d75ff3decacea8cdd3c46b78e6479a4470d35769189b586"
+        )
+
+
+class TestWeightValidation:
+    @pytest.mark.parametrize(
+        "clicks_dist",
+        [(-1, 1, 1), (0, 0, 0), (float("nan"), 1, 1), (float("inf"), 1, 1),
+         (1e308, 1e308, 0), (0.5, 0.5), (0.25, 0.25, 0.25, 0.25)],
+    )
+    def test_bad_clicks_dist_is_config_error(self, clicks_dist):
+        with pytest.raises(ConfigError, match="clicks_dist"):
+            small_config(clicks_dist=clicks_dist).validate()
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(-1, 1, 1, 1), (float("nan"), 1), (1, float("inf")), (1e308, 1e308)],
+    )
+    def test_bad_query_size_weights_is_config_error(self, weights):
+        with pytest.raises(ConfigError, match="query_size_weights"):
+            small_config(query_size_weights=weights).validate()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(clicks_dist=(0, 0, 1)), dict(query_size_weights=(0, 0, 0, 0)),
+         dict(query_size_weights=())],
+    )
+    def test_zero_entries_and_zero_size_sum_are_valid(self, overrides):
+        small_config(**overrides).validate()
+
+    def test_generators_validate_weights(self):
+        with pytest.raises(ConfigError):
+            generate_corpus(small_config(clicks_dist=(0, 0, 0)))
+        corpus = generate_corpus(small_config())
+        with pytest.raises(ConfigError):
+            generate_sessions(corpus, small_config(query_size_weights=(-1, 1)))
 
 
 class TestPowerLawShrinkage:
