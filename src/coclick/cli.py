@@ -9,6 +9,7 @@ be re-run, swapped, or fed externally produced files. A plain key=value
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -83,11 +84,15 @@ def _pred_pair(text: str) -> tuple[str, str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No parser accepts a prefix of a long flag: main() finds --config only by
+    # its full spelling, so an abbreviated one would be parsed and never read.
     parser = argparse.ArgumentParser(
         prog="coclick",
         description="coclick-log mining, explainer training, and evaluation",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p):
         p.add_argument("--config", help="key=value defaults file; explicit flags win")
@@ -97,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="accepted for compatibility; aggregation is one serial pass whatever its value",
         )
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus and click log")
+    p = add_parser("synth", help="generate a synthetic corpus and click log")
     common(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--n-articles", type=int, default=400)
@@ -117,13 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-sizes", type=_triple, default=(0.1, 0.45, 0.45, 0.0), metavar="P1,P2,P3,P4")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse a raw log into pair aggregates")
+    p = add_parser("ingest", help="parse a raw log into pair aggregates")
     common(p)
     p.add_argument("--log", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("build", help="label and filter aggregates into a dataset")
+    p = add_parser("build", help="label and filter aggregates into a dataset")
     common(p)
     p.add_argument("--aggregates", required=True)
     p.add_argument("--articles", required=True)
@@ -136,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", type=_triple, default=(0.8, 0.1, 0.1), metavar="TRAIN,DEV,TEST")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("train", help="train the token tagger")
+    p = add_parser("train", help="train the token tagger")
     common(p)
     p.add_argument("--train", required=True, dest="train_path")
     p.add_argument("--dev", dest="dev_path")
@@ -155,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge-seed-features", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("explain", help="run a backend over a dataset")
+    p = add_parser("explain", help="run a backend over a dataset")
     common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="predictions JSONL path")
@@ -180,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="tagger checkpoint for --backend tagger")
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("eval", help="score prediction files against a dataset")
+    p = add_parser("eval", help="score prediction files against a dataset")
     common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--pred", type=_pred_pair, action="append", required=True, metavar="NAME=FILE")
@@ -191,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-scores", help="similarity scores JSONL for --strata similarity")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="case studies, A/B sheets, corpus stats")
+    p = add_parser("report", help="case studies, A/B sheets, corpus stats")
     common(p)
     p.add_argument("--kind", choices=["cases", "ab", "stats", "tally"], required=True)
     p.add_argument("--dataset")

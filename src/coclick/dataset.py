@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import IO, Iterable, Sequence
 
 from .base import DatasetError, LabelingError, check_ratios
@@ -46,7 +46,20 @@ class TokenClickCounts:
 
 def lower_tokens(text: str) -> list[str]:
     """The lowercase word tokens of ``text``, in order."""
-    return [t.lower for t in word_tokenize(text)]
+    return [t.text.lower() for t in word_tokenize(text)]
+
+
+class TokenMemo(dict):
+    """Text -> :func:`lower_tokens`, computed on the first lookup of each text.
+
+    One stage call owns one memo and drops it when it returns, so each
+    distinct text is tokenized once per call and nothing outlives the call.
+    Callers must not mutate the lists it hands out.
+    """
+
+    def __missing__(self, text: str) -> list[str]:
+        tokens = self[text] = lower_tokens(text)
+        return tokens
 
 
 @dataclass
@@ -56,7 +69,9 @@ class PairExample:
     Titles and the abstract are stored raw. The three token views are their
     lowercase word tokens, computed on construction, so every consumer sees
     one tokenization; a title position is an index into
-    ``similar_title_tokens``.
+    ``similar_title_tokens``. A shared :class:`TokenMemo` passed as ``memo``
+    tokenizes each distinct text once across many examples; every view is
+    still a list of its own.
     """
 
     seed_id: str
@@ -71,11 +86,14 @@ class PairExample:
     seed_title_tokens: list[str] = field(init=False, repr=False)
     seed_abstract_tokens: list[str] = field(init=False, repr=False)
     similar_title_tokens: list[str] = field(init=False, repr=False)
+    memo: InitVar[TokenMemo | None] = None
 
-    def __post_init__(self) -> None:
-        self.seed_title_tokens = lower_tokens(self.seed_title)
-        self.seed_abstract_tokens = lower_tokens(self.seed_abstract)
-        self.similar_title_tokens = lower_tokens(self.similar_title)
+    def __post_init__(self, memo: TokenMemo | None) -> None:
+        if memo is None:
+            memo = TokenMemo()
+        self.seed_title_tokens = list(memo[self.seed_title])
+        self.seed_abstract_tokens = list(memo[self.seed_abstract])
+        self.similar_title_tokens = list(memo[self.similar_title])
 
     @property
     def pair_key(self) -> PairKey:
@@ -97,19 +115,24 @@ class BuildConfig:
 
 
 def count_title_token_clicks(
-    aggregate: PairAggregate, similar_title_tokens: Sequence[str]
+    aggregate: PairAggregate,
+    similar_title_tokens: Sequence[str],
+    memo: TokenMemo | None = None,
 ) -> TokenClickCounts:
     """Sum, per unique title token, the clicks of queries containing that token.
 
     ``similar_title_tokens`` are lowercase; query strings are word-tokenized
     with the shared tokenizer and lowercased too, so matching ignores case.
-    Title tokens appearing in no query get count 0.
+    Title tokens appearing in no query get count 0. Query tokens are looked
+    up through ``memo`` when one is given.
     """
     counts = TokenClickCounts(dict.fromkeys(similar_title_tokens, 0))
     if not counts.counts:
         return counts
+    if memo is None:
+        memo = TokenMemo()
     for query, clicks in aggregate.query_counts.items():
-        for qtok in set(lower_tokens(query)):
+        for qtok in set(memo[query]):
             if qtok in counts.counts:
                 counts.counts[qtok] += clicks
     return counts
@@ -160,12 +183,14 @@ def build_examples(
     """Label and filter every aggregate; returns kept examples + drop tallies.
 
     Output is sorted by (seed_id, similar_id) so any parallel or sharded
-    labeling run produces identical files.
+    labeling run produces identical files. Each distinct title and query is
+    tokenized once per call.
     """
     if config is None:
         config = BuildConfig()
     examples: list[PairExample] = []
     drops: dict[str, int] = {}
+    memo = TokenMemo()
 
     def drop(reason: str) -> None:
         drops[reason] = drops.get(reason, 0) + 1
@@ -177,8 +202,8 @@ def build_examples(
         if seed is None or similar is None:
             drop(DROP_MISSING_ARTICLE)
             continue
-        title_tokens = lower_tokens(similar.title)
-        counts = count_title_token_clicks(agg, title_tokens)
+        title_tokens = memo[similar.title]
+        counts = count_title_token_clicks(agg, title_tokens, memo)
         reason = filter_pair(
             agg.combined_clicks,
             title_tokens,
@@ -208,6 +233,7 @@ def build_examples(
                 gold_tokens=gold,
                 token_counts=counts,
                 combined_clicks=agg.combined_clicks,
+                memo=memo,
             )
         )
     return examples, drops
@@ -277,14 +303,16 @@ def load_dataset(fh: IO[str]) -> list[PairExample]:
     not valid JSON or lacks a field, an id or text that is not a string,
     ``gold_tokens`` that are not a list of strings, a count that is not an
     integer of at least 0, and gold or counted tokens outside the title.
+    Each distinct text is tokenized once per call.
     """
     examples: list[PairExample] = []
+    memo = TokenMemo()
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            ex = _parse_example(line)
+            ex = _parse_example(line, memo)
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"bad dataset record at line {lineno}: {exc}") from exc
         title_tokens = set(ex.unique_title_tokens())
@@ -302,7 +330,7 @@ def load_dataset(fh: IO[str]) -> list[PairExample]:
     return examples
 
 
-def _parse_example(line: str) -> PairExample:
+def _parse_example(line: str, memo: TokenMemo) -> PairExample:
     record = json.loads(line)
     texts = {name: record[name] for name in TEXT_FIELDS}
     for name, text in texts.items():
@@ -325,4 +353,5 @@ def _parse_example(line: str) -> PairExample:
         gold_tokens=set(gold),
         token_counts=TokenClickCounts(counts),
         combined_clicks=combined,
+        memo=memo,
     )

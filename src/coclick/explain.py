@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, Sequence
@@ -77,9 +78,13 @@ def bm25_token_score(
     """Standard saturating tf-idf score of ``token`` against the seed document."""
     token = token.lower()
     tf = sum(1 for t in seed_doc_tokens if t.lower() == token)
+    return _bm25(token, tf, len(seed_doc_tokens), idf, avgdl, k1, b)
+
+
+def _bm25(token: str, tf: int, dl: int, idf: IdfTable, avgdl: float, k1: float, b: float) -> float:
+    """The score of a lowercase ``token`` seen ``tf`` times in a ``dl``-token document."""
     if tf == 0:
         return 0.0
-    dl = len(seed_doc_tokens)
     return idf.idf(token) * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
 
 
@@ -341,8 +346,10 @@ class Bm25(ScoredExplainer):
         seed_doc = example.seed_title_tokens
         if self.use_abstract:
             seed_doc = seed_doc + example.seed_abstract_tokens
+        # The token views are lowercase, so exact counts are the case-folded ones.
+        tf, dl = Counter(seed_doc), len(seed_doc)
         return [
-            TokenScore(tok, i, bm25_token_score(tok, seed_doc, self.idf_, self.avgdl_, self.k1, self.b))
+            TokenScore(tok, i, _bm25(tok, tf[tok], dl, self.idf_, self.avgdl_, self.k1, self.b))
             for i, tok in enumerate(example.similar_title_tokens)
         ]
 

@@ -9,15 +9,20 @@ this one tokenizer, so the system stays internally consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import re
+from typing import NamedTuple, Sequence
 
 # Punctuation peeled off token edges; internal occurrences are kept.
 EDGE_PUNCT = set(".,;:!?\"'()[]")
 
+_P = re.escape("".join(sorted(EDGE_PUNCT)))
+# A token is one edge-punctuation character, or the longest whitespace-free
+# run that starts and ends with a character that is not edge punctuation.
+# ``\s`` matches exactly the characters for which ``str.isspace()`` is true.
+_TOKEN = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
 
-@dataclass(frozen=True)
-class WordToken:
+
+class WordToken(NamedTuple):
     """A word-level token with its source span.
 
     Only title rendering reads the span. Datasets, explainers and metrics
@@ -38,38 +43,7 @@ def word_tokenize(text: str) -> list[WordToken]:
 
     Spans index into ``text`` so that ``text[tok.start:tok.end] == tok.text``.
     """
-    tokens: list[WordToken] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        chunk_start = pos
-        while pos < n and not text[pos].isspace():
-            pos += 1
-        _split_chunk(text, chunk_start, pos, tokens)
-    return tokens
-
-
-def _split_chunk(text: str, start: int, end: int, out: list[WordToken]) -> None:
-    """Append the tokens of one whitespace-free chunk to ``out``."""
-    left = start
-    right = end
-    leading: list[int] = []
-    trailing: list[int] = []
-    while left < right and text[left] in EDGE_PUNCT:
-        leading.append(left)
-        left += 1
-    while right > left and text[right - 1] in EDGE_PUNCT:
-        trailing.append(right - 1)
-        right -= 1
-    for i in leading:
-        out.append(WordToken(text[i], i, i + 1))
-    if left < right:
-        out.append(WordToken(text[left:right], left, right))
-    for i in reversed(trailing):
-        out.append(WordToken(text[i], i, i + 1))
+    return [WordToken(m.group(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
 
 
 def unique_lower(tokens: Sequence[WordToken]) -> list[str]:

@@ -499,6 +499,14 @@ class TestConfigFile:
         assert "p 0.11" in joined.stderr
         assert "Traceback" not in joined.stderr
 
+    def test_abbreviated_config_is_usage_error(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("p 0.11\n", encoding="utf-8")
+        proc = run_cli("ingest", "--log", tmp_path / "x", "--out", tmp_path / "y", "--conf", config)
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --conf" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_config_equals_form_supplies_defaults(self, tmp_path, capsys):
         config = tmp_path / "synth.cfg"
         config.write_text("n_articles=12\nsessions=30\n", encoding="utf-8")

@@ -4,9 +4,11 @@ import io
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
+import coclick.dataset
 from coclick.base import DatasetError, LabelingError
 from coclick.dataset import (
     BuildConfig,
@@ -394,3 +396,62 @@ class TestEdgeCases:
         )
         with pytest.raises(DatasetError, match="token_counts"):
             load_dataset(io.StringIO(row))
+
+
+@pytest.fixture
+def tokenized(monkeypatch):
+    """Count ``word_tokenize`` calls per text, through the name the dataset module calls."""
+    calls = Counter()
+    real = coclick.dataset.word_tokenize
+
+    def counting(text):
+        calls[text] += 1
+        return real(text)
+
+    monkeypatch.setattr(coclick.dataset, "word_tokenize", counting)
+    return calls
+
+
+class TestTokenizeOnce:
+    def test_build_tokenizes_each_distinct_title_and_query_once(self, tokenized):
+        titles = {
+            "P1": "alpha beta gamma delta eps zeta eta",
+            "P2": "alpha beta theta iota kappa lam mu",
+            "P3": "beta gamma nu xi omicron pi rho",
+        }
+        articles = {pid: Article(pid, title, f"about {pid}") for pid, title in titles.items()}
+        shared = {"alpha beta": 15, "Alpha gamma": 10}
+        aggregates = {
+            ("P1", "P2"): PairAggregate("P1", "P2", dict(shared)),
+            ("P3", "P2"): PairAggregate("P3", "P2", {**shared, "beta": 4}),
+            ("P2", "P1"): PairAggregate("P2", "P1", {**shared, "beta": 4}),
+            ("P2", "P3"): PairAggregate("P2", "P3", {"beta": 1}),
+        }
+        examples, _ = build_examples(
+            aggregates, articles, BuildConfig(gold_threshold=0.15, min_clicks=1, min_nonzero=1)
+        )
+        assert len(examples) >= 3
+        queries = {q for agg in aggregates.values() for q in agg.query_counts}
+        assert set(titles.values()) | queries <= set(tokenized)
+        assert max(tokenized.values()) == 1
+
+    def test_load_tokenizes_each_distinct_text_once_per_call(self, tokenized):
+        seed = {"seed_id": "S", "seed_title": "x y", "seed_abstract": "a b c"}
+        text = (
+            dataset_line(**seed, similar_id="T")
+            + dataset_line(**seed, similar_id="U")
+            + dataset_line(**seed, similar_id="V", similar_title="c b a")
+        )
+        assert len(load_dataset(io.StringIO(text))) == 3
+        assert tokenized == Counter({"x y": 1, "a b c": 1, "c b a": 1})
+        load_dataset(io.StringIO(text))
+        assert tokenized == Counter({"x y": 2, "a b c": 2, "c b a": 2})
+
+    def test_rows_sharing_a_seed_get_lists_of_their_own(self):
+        seed = {"seed_id": "S", "seed_title": "x y", "seed_abstract": "a b c"}
+        text = dataset_line(**seed, similar_id="T") + dataset_line(**seed, similar_id="U")
+        first, second = load_dataset(io.StringIO(text))
+        assert first.seed_abstract_tokens == second.seed_abstract_tokens == ["a", "b", "c"]
+        assert first.seed_abstract_tokens is not second.seed_abstract_tokens
+        first.seed_abstract_tokens.append("d")
+        assert second.seed_abstract_tokens == ["a", "b", "c"]
