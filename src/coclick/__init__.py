@@ -39,14 +39,12 @@ from .explain import (
     ExternalScores,
     HighlightAll,
     Overlapper,
-    TokenScore,
     bm25_token_score,
     embedding_token_relevance,
     load_external_scores,
     load_stopwords,
     overlapper,
     predict_dataset,
-    select_softmax_threshold,
     select_top_k,
 )
 from .logs import (

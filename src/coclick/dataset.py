@@ -150,11 +150,7 @@ def select_gold_tokens(
     """
     if counts.total == 0:
         raise LabelingError("cannot label a pair with zero token clicks")
-    tokens = list(counts.counts)
-    values = [float(counts.counts[t]) for t in tokens]
-    positions = list(range(len(tokens)))
-    selected = threshold_cap_select(values, positions, p, cap_fraction)
-    return {tokens[i] for i in selected}
+    return threshold_cap_select({t: float(c) for t, c in counts.counts.items()}, p, cap_fraction)
 
 
 def filter_pair(

@@ -2,9 +2,10 @@
 
 Each backend turns a (seed, similar) pair into a set of similar-title tokens
 to highlight. Scored backends (BM25, embedding relevance, externally produced
-scores) rank tokens and run one of two selection rules: top-K, or max-scaled
-softmax with a threshold and a per-title cap. Rule-based backends (highlight
-everything, seed-title overlap) select directly.
+scores) score each unique title token and run one of two selection rules:
+top-K, or the max-scaled softmax threshold with a per-title cap that also
+picks the gold tokens. Rule-based backends (highlight everything, seed-title
+overlap) select directly.
 """
 
 from __future__ import annotations
@@ -15,24 +16,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 from .base import ConfigError, DatasetError, check_fitted
 from .dataset import PairExample
 from .logs import PairKey
 from .scoring import IdfTable, compute_idf, cosine, threshold_cap_select
-from .text import positions_of
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TokenScore:
-    """Relevance score for one similar-title token position."""
-
-    token: str
-    word_index: int
-    score: float
 
 
 def load_stopwords(path=None) -> set[str]:
@@ -148,54 +139,30 @@ def embedding_token_relevance(
     return total
 
 
-def _unique_candidates(scores: Sequence[TokenScore]) -> list[TokenScore]:
-    """One candidate per lowercase token: best score, earliest position on ties."""
-    best: dict[str, TokenScore] = {}
-    for ts in sorted(scores, key=lambda s: s.word_index):
-        cur = best.get(ts.token)
-        if cur is None or ts.score > cur.score:
-            best[ts.token] = ts
-    return list(best.values())
-
-
-def select_top_k(
-    scores: Sequence[TokenScore], k: int, idf: IdfTable | None = None
-) -> set[int]:
-    """Positions of the k best-scoring unique tokens.
+def select_top_k(scores: Mapping[str, float], k: int, idf: IdfTable | None = None) -> set[str]:
+    """The k best-scoring tokens of ``scores``, which is in title order.
 
     Ties break by higher idf (when a table is given), then earlier position.
     """
-    candidates = _unique_candidates(scores)
-    candidates.sort(
-        key=lambda ts: (
-            -ts.score,
-            -idf.idf(ts.token) if idf is not None else 0.0,
-            ts.word_index,
-        )
-    )
-    return {ts.word_index for ts in candidates[: max(0, k)]}
+    ranked = sorted(scores, key=lambda t: (-scores[t], -idf.idf(t) if idf is not None else 0.0))
+    return set(ranked[: max(0, k)])
 
 
-def select_softmax_threshold(
-    scores: Sequence[TokenScore], p: float, cap_fraction: float = 0.40
-) -> set[int]:
-    """Positions of unique tokens whose max-scaled softmax score reaches ``p``.
-
-    Shares the threshold-and-cap rule used for gold-token selection, applied
-    to arbitrary real-valued backend scores.
-    """
-    candidates = _unique_candidates(scores)
-    values = [ts.score for ts in candidates]
-    positions = [ts.word_index for ts in candidates]
-    selected = threshold_cap_select(values, positions, p, cap_fraction)
-    return {candidates[i].word_index for i in selected}
+def _external_entry(token, score) -> tuple[str, float]:
+    """One loaded score entry; TypeError unless ``token`` is a string and ``score`` a JSON number."""
+    if not isinstance(token, str):
+        raise TypeError(f"token must be a string, got {token!r}")
+    if isinstance(score, bool) or not isinstance(score, (int, float)):
+        raise TypeError(f"score for {token!r} must be a number, got {score!r}")
+    return token.lower(), float(score)
 
 
 def load_external_scores(fh: IO[str]) -> dict[PairKey, list[tuple[str, float]]]:
     """Read externally produced per-token scores (JSON Lines, one pair per line).
 
-    These files are machine-written, so malformed lines and non-finite scores
-    are fatal. A repeated pair overwrites the earlier line, with a warning.
+    These files are machine-written, so malformed lines, an id or token that
+    is not a string and a score that is not a finite JSON number are fatal.
+    A repeated pair overwrites the earlier line, with a warning.
     """
     scores: dict[PairKey, list[tuple[str, float]]] = {}
     for lineno, line in enumerate(fh, start=1):
@@ -205,8 +172,10 @@ def load_external_scores(fh: IO[str]) -> dict[PairKey, list[tuple[str, float]]]:
         try:
             record = json.loads(line)
             key = (record["seed_id"], record["similar_id"])
-            entries = [(s["token"].lower(), float(s["score"])) for s in record["scores"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            if not all(isinstance(part, str) for part in key):
+                raise TypeError(f"seed_id and similar_id must be strings, got {key!r}")
+            entries = [_external_entry(s["token"], s["score"]) for s in record["scores"]]
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DatasetError(f"bad external score record at line {lineno}: {exc}") from exc
         for token, score in entries:
             if not math.isfinite(score):
@@ -229,13 +198,6 @@ class Explainer:
     def predict_tokens(self, example: PairExample) -> set[str] | None:
         """Unique lowercase tokens to highlight; None when the example is not covered."""
         raise NotImplementedError
-
-    def predict_positions(self, example: PairExample) -> set[int] | None:
-        """Title-level view: every position whose token was predicted."""
-        tokens = self.predict_tokens(example)
-        if tokens is None:
-            return None
-        return positions_of(example.similar_title_tokens, tokens)
 
 
 class HighlightAll(Explainer):
@@ -280,11 +242,14 @@ SELECTORS = ("topk", "softmax")
 
 
 class ScoredExplainer(Explainer):
-    """Base for backends that score each title token then apply a selection rule.
+    """Base for backends that score each unique title token then apply a selection rule.
 
-    ``selector`` is ``"topk"`` (the ``k`` best unique tokens) or
-    ``"softmax"`` (max-scaled softmax at threshold ``p``, capped at
-    ``cap_fraction`` of the unique tokens). Subclasses take these four as
+    ``score_tokens`` returns one score per unique lowercase title token, in
+    title order, or None for an uncovered pair. ``selector`` is ``"topk"``
+    (the ``k`` best tokens, ties to higher idf when the backend has an
+    ``idf_`` table, then to the earlier token) or ``"softmax"`` (the
+    labeler's rule: max-scaled softmax at threshold ``p``, capped at
+    ``cap_fraction`` of the scored tokens). Subclasses take these four as
     keyword arguments and pass them on.
     """
 
@@ -298,21 +263,16 @@ class ScoredExplainer(Explainer):
         self.p = p
         self.cap_fraction = cap_fraction
 
-    def score_tokens(self, example: PairExample) -> list[TokenScore] | None:
+    def score_tokens(self, example: PairExample) -> dict[str, float] | None:
         raise NotImplementedError
-
-    def _idf_for_ties(self) -> IdfTable | None:
-        return getattr(self, "idf_", None)
 
     def predict_tokens(self, example: PairExample) -> set[str] | None:
         scores = self.score_tokens(example)
         if scores is None:
             return None
         if self.selector == "topk":
-            positions = select_top_k(scores, self.k, self._idf_for_ties())
-        else:
-            positions = select_softmax_threshold(scores, self.p, self.cap_fraction)
-        return {example.similar_title_tokens[i] for i in positions}
+            return select_top_k(scores, self.k, getattr(self, "idf_", None))
+        return threshold_cap_select(scores, self.p, self.cap_fraction)
 
 
 class Bm25(ScoredExplainer):
@@ -341,17 +301,17 @@ class Bm25(ScoredExplainer):
         self.avgdl_ = sum(len(d) for d in docs) / len(docs)
         return self
 
-    def score_tokens(self, example: PairExample) -> list[TokenScore]:
+    def score_tokens(self, example: PairExample) -> dict[str, float]:
         check_fitted(self, "idf_")
         seed_doc = example.seed_title_tokens
         if self.use_abstract:
             seed_doc = seed_doc + example.seed_abstract_tokens
         # The token views are lowercase, so exact counts are the case-folded ones.
         tf, dl = Counter(seed_doc), len(seed_doc)
-        return [
-            TokenScore(tok, i, _bm25(tok, tf[tok], dl, self.idf_, self.avgdl_, self.k1, self.b))
-            for i, tok in enumerate(example.similar_title_tokens)
-        ]
+        return {
+            tok: _bm25(tok, tf[tok], dl, self.idf_, self.avgdl_, self.k1, self.b)
+            for tok in dict.fromkeys(example.similar_title_tokens)
+        }
 
 
 class EmbeddingRelevance(ScoredExplainer):
@@ -363,20 +323,21 @@ class EmbeddingRelevance(ScoredExplainer):
         super().__init__(**selection)
         self.table = table
 
-    def score_tokens(self, example: PairExample) -> list[TokenScore]:
+    def score_tokens(self, example: PairExample) -> dict[str, float]:
         seed = example.seed_title_tokens
-        return [
-            TokenScore(tok, i, embedding_token_relevance(tok, seed, self.table))
-            for i, tok in enumerate(example.similar_title_tokens)
-        ]
+        return {
+            tok: embedding_token_relevance(tok, seed, self.table)
+            for tok in dict.fromkeys(example.similar_title_tokens)
+        }
 
 
 class ExternalScores(ScoredExplainer):
     """Serve scores produced outside this package (neural encoders, LLMs).
 
     Pairs missing from the file are reported as uncovered so the evaluation
-    harness can skip and tally them. Generative producers default to a wider
-    top-K than ranking models.
+    harness can skip and tally them. A token scored more than once keeps its
+    highest score. Generative producers default to a wider top-K than
+    ranking models.
     """
 
     name = "external"
@@ -390,24 +351,22 @@ class ExternalScores(ScoredExplainer):
     ):
         super().__init__(k=k if k is not None else (4 if generative else 3), **selection)
         self.scores = scores
-        self.generative = generative
 
-    def score_tokens(self, example: PairExample) -> list[TokenScore] | None:
+    def score_tokens(self, example: PairExample) -> dict[str, float] | None:
         entries = self.scores.get(example.pair_key)
         if entries is None:
             return None
-        first_pos: dict[str, int] = {}
-        for i, tok in enumerate(example.similar_title_tokens):
-            first_pos.setdefault(tok, i)
-        result = []
+        title = dict.fromkeys(example.similar_title_tokens)
+        best: dict[str, float] = {}
         for token, score in entries:
-            if token not in first_pos:
+            if token not in title:
                 raise DatasetError(
                     f"external score token {token!r} is not in the title of pair "
                     f"({example.seed_id}, {example.similar_id})"
                 )
-            result.append(TokenScore(token, first_pos[token], score))
-        return result
+            if token not in best or score > best[token]:
+                best[token] = score
+        return {tok: best[tok] for tok in title if tok in best}
 
 
 def predict_dataset(

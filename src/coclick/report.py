@@ -166,15 +166,13 @@ def tally_preferences(
 
 def corpus_stats(examples: Sequence[PairExample]) -> dict:
     """Click histogram, title-length distribution, and sizes at click thresholds."""
-    histogram: dict[str, int] = {}
-    edges = list(CLICK_BUCKETS)
-    for lo, hi in zip(edges, edges[1:] + [None]):
-        label = f"[{lo},{hi})" if hi is not None else f"[{lo},inf)"
-        histogram[label] = 0
+    # Labels read "[20,50)" ... "[1000,inf)"; pairs below the first edge fall in no bucket.
+    edges = zip(CLICK_BUCKETS, CLICK_BUCKETS[1:] + (math.inf,))
+    buckets = {f"[{lo},{hi})": (lo, hi) for lo, hi in edges}
+    histogram = dict.fromkeys(buckets, 0)
     for ex in examples:
-        for lo, hi in zip(edges, edges[1:] + [None]):
-            if ex.combined_clicks >= lo and (hi is None or ex.combined_clicks < hi):
-                label = f"[{lo},{hi})" if hi is not None else f"[{lo},inf)"
+        for label, (lo, hi) in buckets.items():
+            if lo <= ex.combined_clicks < hi:
                 histogram[label] += 1
                 break
     lengths = [len(ex.similar_title_tokens) for ex in examples]

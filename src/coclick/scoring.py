@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 @dataclass
@@ -53,28 +53,25 @@ def max_scaled_softmax(values: Sequence[float]) -> list[float]:
     return [e / total for e in exps]
 
 
-def threshold_cap_select(
-    values: Sequence[float], positions: Sequence[int], p: float, cap_fraction: float
-) -> list[int]:
-    """Select candidate indices whose max-scaled softmax score reaches ``p``.
+def threshold_cap_select(scores: Mapping[str, float], p: float, cap_fraction: float) -> set[str]:
+    """Select the tokens whose max-scaled softmax score reaches ``p``.
 
-    ``values`` and ``positions`` describe one candidate per unique token:
-    its raw score and its first occurrence position. When more than
-    floor(cap_fraction * n) candidates pass, only that many survive, ranked
-    by score, then raw value, then earlier position.
-
-    Returns indices into the candidate sequence, in candidate order.
+    ``scores`` holds one raw score per unique token, in title order. When
+    more than floor(cap_fraction * n) tokens pass, only that many survive,
+    ranked by softmax score, then raw score, then earlier position.
     """
-    n = len(values)
-    if n == 0:
-        return []
-    scores = max_scaled_softmax(values)
-    passed = [i for i in range(n) if scores[i] >= p]
-    cap = int(cap_fraction * n)
+    tokens = list(scores)
+    values = list(scores.values())
+    if not values:
+        return set()
+    probs = max_scaled_softmax(values)
+    passed = [i for i, prob in enumerate(probs) if prob >= p]
+    cap = int(cap_fraction * len(values))
     if len(passed) > cap:
-        passed.sort(key=lambda i: (-scores[i], -values[i], positions[i]))
+        # A stable sort, so the earlier position wins a full tie.
+        passed.sort(key=lambda i: (-probs[i], -values[i]))
         passed = passed[:cap]
-    return sorted(passed)
+    return {tokens[i] for i in passed}
 
 
 def cosine(u: Sequence[float], v: Sequence[float]) -> float:

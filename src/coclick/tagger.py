@@ -332,12 +332,9 @@ class TokenTagger(Explainer):
             self.idf_, self.stopwords_ = idf, stopwords
         return forward(self.weights_, self._features(example, idf, stopwords))
 
-    def predict(self, example: PairExample) -> set[str]:
+    def predict_tokens(self, example: PairExample) -> set[str]:
         """Unique lowercase similar-title tokens scored at or above the threshold."""
         return self._tokens_from_probs(example, self.predict_proba(example))
-
-    def predict_tokens(self, example: PairExample) -> set[str]:
-        return self.predict(example)
 
     def save(self, fh: IO[str]) -> None:
         check_fitted(self, "weights_")

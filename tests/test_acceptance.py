@@ -181,7 +181,7 @@ def test_criterion_7_segment_analog_ablation():
                 merge_seed_features=merged,
             )
             tagger.fit(train, dev)
-            preds = {ex.pair_key: tagger.predict(ex) for ex in test}
+            preds = {ex.pair_key: tagger.predict_tokens(ex) for ex in test}
             f1[merged] = evaluate_predictions(test, preds, "token").f1
         assert f1[False] - f1[True] >= 0.03
 

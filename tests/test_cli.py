@@ -434,6 +434,31 @@ class TestExitCodes:
         assert where in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"seed_id": "A", "similar_id": "C", "scores": [{"token": 5, "score": 1}]}',
+            '{"seed_id": "A", "similar_id": "C", "scores": [{"token": "dose", "score": true}]}',
+            '{"seed_id": "A", "similar_id": "C", "scores": [{"token": "dose", "score": "1"}]}',
+            '{"seed_id": ["A"], "similar_id": "C", "scores": []}',
+        ],
+    )
+    def test_bad_external_score_record_fails_explain_without_traceback(self, workdir, tmp_path, record):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(
+            '{"seed_id": "A", "similar_id": "B", "scores": [{"token": "dose", "score": 1}]}\n' + record + "\n",
+            encoding="utf-8",
+        )
+        proc = run_cli(
+            "explain",
+            "--dataset", workdir / "data.test.jsonl",
+            "--backend", "external", "--scores", scores,
+            "--out", tmp_path / "p.jsonl",
+        )
+        assert proc.returncode == 1
+        assert "line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_backend_without_companion_flag_is_usage_error(self, workdir, tmp_path, capsys):
         code = main([
             "explain", "--dataset", str(workdir / "data.test.jsonl"),

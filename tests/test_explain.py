@@ -8,14 +8,13 @@ import random
 import pytest
 
 from coclick.base import ConfigError, DatasetError
-from coclick.dataset import PairExample, TokenClickCounts, lower_tokens
+from coclick.dataset import PairExample, TokenClickCounts, lower_tokens, select_gold_tokens
 from coclick.explain import (
     Bm25,
     EmbeddingRelevance,
     ExternalScores,
     HighlightAll,
     Overlapper,
-    TokenScore,
     bm25_token_score,
     embedding_token_relevance,
     load_embeddings,
@@ -23,11 +22,13 @@ from coclick.explain import (
     load_stopwords,
     overlapper,
     predict_dataset,
-    select_softmax_threshold,
     select_top_k,
 )
 from coclick.explain import EmbeddingTable
-from coclick.scoring import IdfTable, compute_idf
+from coclick.scoring import IdfTable, compute_idf, threshold_cap_select
+from coclick.text import positions_of
+
+import oracle_select
 
 
 def make_example(seed_title, similar_title, seed_abstract="", gold=None, pair=("S1", "T1")):
@@ -56,10 +57,11 @@ MICRO_CORPUS = [
 class TestHighlightAll:
     def test_selects_every_index(self):
         ex = make_example("whatever", "one two three four five six seven eight")
-        assert HighlightAll().predict_positions(ex) == set(range(8))
+        assert positions_of(ex.similar_title_tokens, HighlightAll().predict_tokens(ex)) == set(range(8))
 
     def test_empty_title(self):
-        assert HighlightAll().predict_positions(make_example("whatever", "")) == set()
+        ex = make_example("whatever", "")
+        assert positions_of(ex.similar_title_tokens, HighlightAll().predict_tokens(ex)) == set()
 
     def test_precision_is_gold_over_unique(self):
         ex = make_example("whatever", "a b c d", gold={"a", "b"})
@@ -189,28 +191,23 @@ class TestEmbeddingRelevance:
 
 
 def scores_for(title, values):
-    tokens = lower_tokens(title)
-    return [TokenScore(t, i, v) for i, (t, v) in enumerate(zip(tokens, values))]
+    return dict(zip(lower_tokens(title), values))
 
 
 class TestSelectTopK:
     def test_basic_top_two(self):
         scores = scores_for("a b c", [3.0, 2.0, 1.0])
-        assert select_top_k(scores, 2) == {0, 1}
+        assert select_top_k(scores, 2) == {"a", "b"}
 
     def test_k_larger_than_candidates(self):
         scores = scores_for("a b c", [3.0, 2.0, 1.0])
-        assert select_top_k(scores, 10) == {0, 1, 2}
+        assert select_top_k(scores, 10) == {"a", "b", "c"}
 
     def test_ties_broken_by_idf_then_position(self):
         scores = scores_for("x y", [1.0, 1.0])
         idf = IdfTable(doc_count=10, doc_freq={"x": 5, "y": 1})
-        assert select_top_k(scores, 1, idf) == {1}  # y is rarer
-        assert select_top_k(scores, 1) == {0}  # no idf: earlier position
-
-    def test_duplicate_tokens_count_once(self):
-        scores = scores_for("dose response dose", [5.0, 1.0, 5.0])
-        assert select_top_k(scores, 2) == {0, 1}
+        assert select_top_k(scores, 1, idf) == {"y"}  # y is rarer
+        assert select_top_k(scores, 1) == {"x"}  # no idf: earlier position
 
     def test_nested_in_k_plus_one(self):
         rng = random.Random(7)
@@ -224,13 +221,13 @@ class TestSelectTopK:
     def test_outputs_within_title_bounds(self):
         scores = scores_for("a b c d", [0.1, 0.4, -0.2, 0.0])
         for k in range(6):
-            assert select_top_k(scores, k) <= {0, 1, 2, 3}
+            assert select_top_k(scores, k) <= {"a", "b", "c", "d"}
 
 
 class TestSelectSoftmaxThreshold:
     def test_uniform_scores_above_uniform_threshold_empty(self):
         scores = scores_for("a b c d", [2.0, 2.0, 2.0, 2.0])
-        assert select_softmax_threshold(scores, p=0.30) == set()
+        assert threshold_cap_select(scores, p=0.30, cap_fraction=0.40) == set()
 
     def test_dominant_score_singleton(self):
         # hand softmax: scaled [1, 0.01, 0.01], scores ~ [0.573, 0.213, 0.213]
@@ -238,19 +235,19 @@ class TestSelectSoftmaxThreshold:
         exps = [math.exp(1.0), math.exp(0.01), math.exp(0.01)]
         top = exps[0] / sum(exps)
         assert top > 0.5
-        assert select_softmax_threshold(scores, p=0.5, cap_fraction=1.0) == {0}
+        assert threshold_cap_select(scores, p=0.5, cap_fraction=1.0) == {"big"}
 
     def test_cap_triggers(self):
         values = [50.0] * 7 + [0.0] * 3
         scores = scores_for("a b c d e f g h i j", values)
-        got = select_softmax_threshold(scores, p=0.05, cap_fraction=0.40)
+        got = threshold_cap_select(scores, p=0.05, cap_fraction=0.40)
         assert len(got) == 4
-        assert got == {0, 1, 2, 3}
+        assert got == {"a", "b", "c", "d"}
 
     def test_negative_scores_keep_ranking(self):
         scores = scores_for("w x y z", [-0.1, -4.0, -4.0, -4.0])
-        got = select_softmax_threshold(scores, p=0.30, cap_fraction=1.0)
-        assert got == {0}
+        got = threshold_cap_select(scores, p=0.30, cap_fraction=1.0)
+        assert got == {"w"}
 
 
 class TestExternalScores:
@@ -284,6 +281,47 @@ class TestExternalScores:
         )
         with pytest.raises(DatasetError, match="line 2"):
             load_external_scores(fh)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"token": 5, "score": 1}',
+            '{"token": null, "score": 1}',
+            '{"token": "b", "score": true}',
+            '{"token": "b", "score": "1"}',
+            '{"token": "b", "score": [1]}',
+            '{"token": "b", "score": 1' + "0" * 400 + "}",
+        ],
+    )
+    def test_bad_entry_type_fatal_with_line_number(self, entry):
+        fh = io.StringIO(
+            '{"seed_id": "S1", "similar_id": "T1", "scores": [{"token": "a", "score": 1}]}\n'
+            f'{{"seed_id": "S2", "similar_id": "T2", "scores": [{entry}]}}\n'
+        )
+        with pytest.raises(DatasetError, match="line 2"):
+            load_external_scores(fh)
+
+    @pytest.mark.parametrize("seed_id", ["5", "null", "[5]"])
+    def test_non_string_pair_id_fatal_with_line_number(self, seed_id):
+        fh = io.StringIO(
+            '{"seed_id": "S1", "similar_id": "T1", "scores": []}\n'
+            f'{{"seed_id": {seed_id}, "similar_id": "T2", "scores": []}}\n'
+        )
+        with pytest.raises(DatasetError, match="line 2"):
+            load_external_scores(fh)
+
+    def test_repeated_token_keeps_its_best_score(self):
+        ex = make_example("s", "dose response dose")
+        backend = ExternalScores({ex.pair_key: [("dose", 0.5), ("response", 1.0), ("dose", 5.0)]}, k=1)
+        assert backend.score_tokens(ex) == {"dose": 5.0, "response": 1.0}
+        assert backend.predict_tokens(ex) == {"dose"}
+        assert ExternalScores(backend.scores, k=2).predict_tokens(ex) == {"dose", "response"}
+
+    def test_scores_come_back_in_title_order(self):
+        ex = make_example("s", "dose response dose")
+        backend = ExternalScores({ex.pair_key: [("response", 1.0), ("dose", 1.0)]}, k=1)
+        assert list(backend.score_tokens(ex)) == ["dose", "response"]
+        assert backend.predict_tokens(ex) == {"dose"}  # the tie goes to the earlier token
 
     def test_token_absent_from_title_names_pair(self):
         ex = make_example("seed title words", "alpha beta gamma delta", pair=("S9", "T9"))
@@ -354,3 +392,81 @@ class TestStopwordList:
         path = tmp_path / "stop.txt"
         path.write_text("foo\nBAR\n", encoding="utf-8")
         assert load_stopwords(path) == {"foo", "bar"}
+
+
+class TestAgainstOracle:
+    """Token-set selection picks exactly what the position-based rules picked."""
+
+    VOCAB = ["covid-19", "vaccine", "dose", "response", "trial", "of", "the", "risk"]
+    PS = [0.0, 0.05, 0.1, 0.12, 0.2, 0.3, 0.5, 0.9, 1.0]
+    CAPS = [0.0, 0.1, 0.25, 0.4, 0.5, 1.0]
+
+    @classmethod
+    def titles(cls, n=300, seed=23):
+        """Seeded titles with repeated tokens and a score draw per case."""
+        rng = random.Random(seed)
+        draws = [
+            lambda: float(rng.randint(-2, 2)),  # ties, zeros and negatives
+            lambda: rng.uniform(-5.0, 5.0),
+            lambda: rng.uniform(-3.0, 0.0),
+            lambda: rng.uniform(0.0, 1000.0),
+        ]
+        for i in range(n):
+            title = rng.choices(cls.VOCAB[: rng.randint(1, len(cls.VOCAB))], k=rng.randint(0, 12))
+            if i % 5 == 0:
+                value = rng.choice([-1.5, 0.0, 2.0])
+                draw = lambda: value  # all scores equal
+            else:
+                draw = rng.choice(draws)
+            yield rng, title, draw
+
+    @staticmethod
+    def idf_table(rng):
+        return IdfTable(doc_count=8, doc_freq={t: rng.randint(0, 3) for t in TestAgainstOracle.VOCAB[1:]})
+
+    def test_scored_backend_selection(self):
+        for rng, title, draw in self.titles():
+            unique = {t: draw() for t in dict.fromkeys(title)}
+            old = [oracle_select.TokenScore(t, i, unique[t]) for i, t in enumerate(title)]
+            for idf in (None, self.idf_table(rng)):
+                for k in range(len(unique) + 2):
+                    want = {title[i] for i in oracle_select.select_top_k(old, k, idf)}
+                    assert select_top_k(unique, k, idf) == want, (title, unique, k)
+            for p in self.PS:
+                for cap in self.CAPS:
+                    want = {title[i] for i in oracle_select.select_softmax_threshold(old, p, cap)}
+                    assert threshold_cap_select(unique, p, cap) == want, (title, unique, p, cap)
+
+    def test_external_scores_with_repeated_tokens(self):
+        for rng, title, draw in self.titles(seed=29):
+            ex = make_example("seed", " ".join(title))
+            entries = [(rng.choice(title), draw()) for _ in range(rng.randint(1, 15))] if title else []
+            old = oracle_select.external_token_scores(entries, title)
+            covered = {ex.pair_key: entries}
+            for k in range(len(set(title)) + 2):
+                want = {title[i] for i in oracle_select.select_top_k(old, k)}
+                assert ExternalScores(covered, k=k).predict_tokens(ex) == want, (entries, k)
+            for p in self.PS:
+                for cap in self.CAPS:
+                    want = {title[i] for i in oracle_select.select_softmax_threshold(old, p, cap)}
+                    backend = ExternalScores(covered, selector="softmax", p=p, cap_fraction=cap)
+                    assert backend.predict_tokens(ex) == want, (entries, p, cap)
+
+    def test_gold_tokens(self):
+        for rng, title, _ in self.titles(seed=31):
+            # 2**53 and 2**53 + 1 round to one float, so they tie as the parent's counts did.
+            draws = [0, 0, 1, 3, 3, 40, 500] if rng.random() < 0.7 else [0, 1, 2**53 - 1, 2**53, 2**53 + 1]
+            counts = TokenClickCounts({t: rng.choice(draws) for t in dict.fromkeys(title)})
+            if counts.total == 0:
+                continue
+            for p in self.PS:
+                for cap in self.CAPS:
+                    want = oracle_select.select_gold_tokens(counts, p, cap)
+                    assert select_gold_tokens(counts, p, cap) == want, (counts.counts, p, cap)
+
+    def test_gold_tokens_count_beyond_float_range(self):
+        counts = TokenClickCounts({"dose": 10**309, "trial": 1, "risk": 0})
+        with pytest.raises(OverflowError):
+            oracle_select.select_gold_tokens(counts, 0.3, 0.4)
+        with pytest.raises(OverflowError):
+            select_gold_tokens(counts, 0.3, 0.4)

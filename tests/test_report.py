@@ -168,6 +168,13 @@ class TestCorpusStats:
         assert stats["click_histogram"]["[20,50)"] == 1
         assert sum(stats["click_histogram"].values()) == 1
 
+    def test_histogram_labels_and_edges(self):
+        clicks = [5, 19, 20, 49, 50, 99, 100, 199, 200, 499, 500, 999, 1000, 10**6]
+        examples = [make_example(clicks=c, pair=(f"S{i}", "T")) for i, c in enumerate(clicks)]
+        histogram = corpus_stats(examples)["click_histogram"]
+        assert list(histogram) == ["[20,50)", "[50,100)", "[100,200)", "[200,500)", "[500,1000)", "[1000,inf)"]
+        assert list(histogram.values()) == [2, 2, 2, 2, 2, 2]  # 5 and 19 fall in no bucket
+
     def test_title_length_mean_reported(self):
         examples = [make_example("a b c d"), make_example("a b c d e f")]
         stats = corpus_stats(examples)

@@ -22,6 +22,7 @@ from coclick.tagger import (
     title_labels,
 )
 from coclick.scoring import compute_idf
+from coclick.text import positions_of
 
 
 def make_example(seed_title, similar_title, seed_abstract="", gold=(), pair=("S1", "T1")):
@@ -214,7 +215,7 @@ class TestTraining:
         tagger.fit(train, dev)
         from coclick.evaluate import evaluate_predictions
 
-        preds = {ex.pair_key: tagger.predict(ex) for ex in dev}
+        preds = {ex.pair_key: tagger.predict_tokens(ex) for ex in dev}
         metrics = evaluate_predictions(dev, preds, "token")
         assert metrics.f1 >= 0.95
 
@@ -272,7 +273,7 @@ class TestPredict:
         tagger_low.weights_[-1] = -10.0  # bias
         tagger_low.idf_ = tagger.idf_
         tagger_low.stopwords_ = tagger.stopwords_
-        assert tagger_low.predict(test[0]) == set()
+        assert tagger_low.predict_tokens(test[0]) == set()
 
     def test_title_level_expansion_of_duplicates(self):
         tagger = TokenTagger()
@@ -282,8 +283,8 @@ class TestPredict:
         tagger.idf_ = compute_idf([["dose"]])
         tagger.stopwords_ = set()
         ex = make_example("dose stuff", "dose response dose", gold={"dose"})
-        assert tagger.predict(ex) == {"dose"}
-        assert tagger.predict_positions(ex) == {0, 2}
+        assert tagger.predict_tokens(ex) == {"dose"}
+        assert positions_of(ex.similar_title_tokens, tagger.predict_tokens(ex)) == {0, 2}
 
     def test_threshold_sweep_shrinks_predictions(self):
         tagger, test = self._trained()
@@ -291,7 +292,7 @@ class TestPredict:
             previous = None
             for threshold in (0.1, 0.3, 0.5, 0.7, 0.9):
                 tagger.decision_threshold = threshold
-                pred = tagger.predict(ex)
+                pred = tagger.predict_tokens(ex)
                 if previous is not None:
                     assert pred <= previous
                 previous = pred
@@ -301,7 +302,7 @@ class TestPredict:
         tagger, test = self._trained()
         for ex in test:
             title = set(ex.similar_title_tokens)
-            assert tagger.predict(ex) <= title
+            assert tagger.predict_tokens(ex) <= title
 
 
 class TestCheckpoint:
@@ -318,7 +319,7 @@ class TestCheckpoint:
         assert np.array_equal(loaded.weights_, tagger.weights_)
         assert loaded.step_ == tagger.step_
         for ex in separable_examples(20, rng):
-            assert loaded.predict(ex) == tagger.predict(ex)
+            assert loaded.predict_tokens(ex) == tagger.predict_tokens(ex)
 
     def test_bad_version_rejected(self):
         with pytest.raises(DatasetError):
@@ -391,7 +392,7 @@ class TestFeatureSplitAblation:
             )
             tagger.fit(train, dev)
             assert tagger.feature_names_ == (FEATURES_MERGED if merged else FEATURES_SPLIT)
-            preds = {ex.pair_key: tagger.predict(ex) for ex in test}
+            preds = {ex.pair_key: tagger.predict_tokens(ex) for ex in test}
             scores[merged] = evaluate_predictions(test, preds, "token").f1
         assert scores[False] > scores[True] + 0.03
 
@@ -406,4 +407,4 @@ class TestLoadedWithoutContext:
         buf.seek(0)
         bare = TokenTagger.load(buf)  # no idf/stopword context attached
         with pytest.raises(DatasetError):
-            bare.predict(train[0])
+            bare.predict_tokens(train[0])
