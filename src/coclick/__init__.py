@@ -39,20 +39,15 @@ from .explain import (
     ExternalScores,
     HighlightAll,
     Overlapper,
-    bm25_token_score,
     embedding_token_relevance,
     load_external_scores,
     load_stopwords,
-    overlapper,
     predict_dataset,
     select_top_k,
 )
 from .logs import (
-    CoclickInstance,
     PairAggregate,
     SessionEvent,
-    aggregate_pairs,
-    extract_coclicks,
     parse_log,
 )
 from .pipeline import PipelineConfig, benchmark_config, run_pipeline

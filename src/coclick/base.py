@@ -44,6 +44,25 @@ def check_fitted(estimator: Any, attribute: str) -> None:
         )
 
 
+def json_pair_key(record: dict) -> tuple[str, str]:
+    """A loaded record's (seed_id, similar_id); TypeError unless both are strings."""
+    key = (record["seed_id"], record["similar_id"])
+    if not all(isinstance(part, str) for part in key):
+        raise TypeError(f"seed_id and similar_id must be strings, got {key!r}")
+    return key
+
+
+def json_number(value: Any, what: str) -> float:
+    """``value`` as a float; TypeError unless it is a JSON number, which a bool is not.
+
+    An integer too large for a float raises OverflowError; NaN and infinities
+    pass through for the caller to judge.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def check_ratios(ratios: tuple[float, ...]) -> None:
     if any(r < 0 for r in ratios):
         raise ConfigError(f"split ratios must be non-negative, got {ratios}")

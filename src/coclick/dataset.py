@@ -178,9 +178,9 @@ def build_examples(
 ) -> tuple[list[PairExample], dict[str, int]]:
     """Label and filter every aggregate; returns kept examples + drop tallies.
 
-    Output is sorted by (seed_id, similar_id) so any parallel or sharded
-    labeling run produces identical files. Each distinct title and query is
-    tokenized once per call.
+    Output is sorted by (seed_id, similar_id), so the written dataset does
+    not depend on the order of ``aggregates``. Each distinct title and query
+    is tokenized once per call.
     """
     if config is None:
         config = BuildConfig()

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .base import CoclickError, DatasetError
+from .base import CoclickError, DatasetError, json_number, json_pair_key
 from .dataset import PairExample
 from .logs import PairKey
 from .text import positions_of
@@ -213,7 +213,12 @@ def stratify_by_similarity(
 
 
 def load_pair_scores(fh: IO[str]) -> dict[PairKey, float]:
-    """Read a pair-score file (JSON Lines: seed_id, similar_id, score)."""
+    """Read a pair-score file (JSON Lines: seed_id, similar_id, score).
+
+    A malformed line, an id that is not a string and a score that is not a
+    JSON number are fatal. NaN and infinite scores load as they are;
+    :func:`stratify_by_similarity` excludes and tallies them.
+    """
     scores: dict[PairKey, float] = {}
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
@@ -221,8 +226,9 @@ def load_pair_scores(fh: IO[str]) -> dict[PairKey, float]:
             continue
         try:
             record = json.loads(line)
-            scores[(record["seed_id"], record["similar_id"])] = float(record["score"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            key = json_pair_key(record)
+            scores[key] = json_number(record["score"], "score")
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DatasetError(f"bad pair-score record at line {lineno}: {exc}") from exc
     return scores
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, Mapping, Sequence
 
-from .base import ConfigError, DatasetError, check_fitted
+from .base import ConfigError, DatasetError, check_fitted, json_number, json_pair_key
 from .dataset import PairExample
 from .logs import PairKey
 from .scoring import IdfTable, compute_idf, cosine, threshold_cap_select
@@ -34,49 +34,6 @@ def load_stopwords(path=None) -> set[str]:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     return {line.strip().lower() for line in text.splitlines() if line.strip()}
-
-
-def overlapper(
-    seed_title_tokens: Sequence[str],
-    title_tokens: Sequence[str],
-    stopwords: set[str],
-    idf: IdfTable | None = None,
-    idf_floor: float = 0.0,
-) -> set[int]:
-    """Select title positions whose lowercase token also appears in the seed title.
-
-    Stopwords are excluded, as are tokens whose idf falls below ``idf_floor``
-    when a table is supplied.
-    """
-    seed_set = set(seed_title_tokens)
-    return {
-        i
-        for i, tok in enumerate(title_tokens)
-        if tok in seed_set
-        and tok not in stopwords
-        and (idf is None or idf.idf(tok) >= idf_floor)
-    }
-
-
-def bm25_token_score(
-    token: str,
-    seed_doc_tokens: Sequence[str],
-    idf: IdfTable,
-    avgdl: float,
-    k1: float = 0.5,
-    b: float = 0.3,
-) -> float:
-    """Standard saturating tf-idf score of ``token`` against the seed document."""
-    token = token.lower()
-    tf = sum(1 for t in seed_doc_tokens if t.lower() == token)
-    return _bm25(token, tf, len(seed_doc_tokens), idf, avgdl, k1, b)
-
-
-def _bm25(token: str, tf: int, dl: int, idf: IdfTable, avgdl: float, k1: float, b: float) -> float:
-    """The score of a lowercase ``token`` seen ``tf`` times in a ``dl``-token document."""
-    if tf == 0:
-        return 0.0
-    return idf.idf(token) * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
 
 
 @dataclass
@@ -152,9 +109,7 @@ def _external_entry(token, score) -> tuple[str, float]:
     """One loaded score entry; TypeError unless ``token`` is a string and ``score`` a JSON number."""
     if not isinstance(token, str):
         raise TypeError(f"token must be a string, got {token!r}")
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise TypeError(f"score for {token!r} must be a number, got {score!r}")
-    return token.lower(), float(score)
+    return token.lower(), json_number(score, f"score for {token!r}")
 
 
 def load_external_scores(fh: IO[str]) -> dict[PairKey, list[tuple[str, float]]]:
@@ -171,9 +126,7 @@ def load_external_scores(fh: IO[str]) -> dict[PairKey, list[tuple[str, float]]]:
             continue
         try:
             record = json.loads(line)
-            key = (record["seed_id"], record["similar_id"])
-            if not all(isinstance(part, str) for part in key):
-                raise TypeError(f"seed_id and similar_id must be strings, got {key!r}")
+            key = json_pair_key(record)
             entries = [_external_entry(s["token"], s["score"]) for s in record["scores"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DatasetError(f"bad external score record at line {lineno}: {exc}") from exc
@@ -212,7 +165,9 @@ class HighlightAll(Explainer):
 class Overlapper(Explainer):
     """Select title tokens shared with the seed title, minus stopwords.
 
-    Without ``stopwords``, the packaged list is read once, at construction.
+    Once ``fit`` has computed an idf table, tokens whose idf falls below
+    ``idf_floor`` are excluded too. Without ``stopwords``, the packaged list
+    is read once, at construction.
     """
 
     name = "overlap"
@@ -228,14 +183,15 @@ class Overlapper(Explainer):
         return self
 
     def predict_tokens(self, example: PairExample) -> set[str]:
-        positions = overlapper(
-            example.seed_title_tokens,
-            example.similar_title_tokens,
-            self.stopwords,
-            self.idf_,
-            self.idf_floor,
-        )
-        return {example.similar_title_tokens[i] for i in positions}
+        seed = set(example.seed_title_tokens)
+        idf = self.idf_
+        return {
+            tok
+            for tok in example.similar_title_tokens
+            if tok in seed
+            and tok not in self.stopwords
+            and (idf is None or idf.idf(tok) >= self.idf_floor)
+        }
 
 
 SELECTORS = ("topk", "softmax")
@@ -307,11 +263,14 @@ class Bm25(ScoredExplainer):
         if self.use_abstract:
             seed_doc = seed_doc + example.seed_abstract_tokens
         # The token views are lowercase, so exact counts are the case-folded ones.
-        tf, dl = Counter(seed_doc), len(seed_doc)
-        return {
-            tok: _bm25(tok, tf[tok], dl, self.idf_, self.avgdl_, self.k1, self.b)
-            for tok in dict.fromkeys(example.similar_title_tokens)
-        }
+        tf = Counter(seed_doc)
+        idf, k1, b = self.idf_, self.k1, self.b
+        length_norm = k1 * (1.0 - b + b * len(seed_doc) / self.avgdl_)
+        scores = {}
+        for tok in dict.fromkeys(example.similar_title_tokens):
+            n = tf[tok]
+            scores[tok] = idf.idf(tok) * n * (k1 + 1.0) / (n + length_norm) if n else 0.0
+        return scores
 
 
 class EmbeddingRelevance(ScoredExplainer):

@@ -14,6 +14,7 @@ themselves, and counts each group's pairs straight into the aggregates.
 from __future__ import annotations
 
 import json
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -36,15 +37,6 @@ class SessionEvent(NamedTuple):
     rank: int
     article_id: str
     timestamp: int
-
-
-@dataclass(frozen=True)
-class CoclickInstance:
-    """Two articles clicked under the same (session, query); seed ranked higher."""
-
-    seed_id: str
-    similar_id: str
-    query: str
 
 
 @dataclass
@@ -113,14 +105,6 @@ def parse_log(lines: Iterable[str], stats: ParseStats | None = None) -> Iterator
             stats.malformed += malformed
 
 
-def group_clicks(events: Iterable[SessionEvent]) -> dict[tuple[str, str], list[Click]]:
-    """Map each (session_id, query) group to its (rank, article_id) clicks, in one pass."""
-    groups: defaultdict[tuple[str, str], list[Click]] = defaultdict(list)
-    for session_id, query, rank, article_id, _ in events:
-        groups[session_id, query].append((rank, article_id))
-    return groups
-
-
 def ranked_pairs(clicks: list[Click]) -> list[PairKey]:
     """The (seed, similar) coclicks of one group's (rank, article_id) clicks.
 
@@ -137,41 +121,20 @@ def ranked_pairs(clicks: list[Click]) -> list[PairKey]:
     return [(seed, similar) for (r1, seed), (r2, similar) in combinations(ordered, 2) if r1 < r2]
 
 
-def extract_coclicks(events: Iterable[SessionEvent]) -> list[CoclickInstance]:
-    """Emit one coclick per rank-ordered pair of distinct articles in a group.
-
-    Groups are (session_id, query); :func:`ranked_pairs` gives the pair rule.
-    """
-    return [
-        CoclickInstance(seed, similar, query)
-        for (_, query), clicks in group_clicks(events).items()
-        for seed, similar in ranked_pairs(clicks)
-    ]
-
-
-def aggregate_pairs(instances: Iterable[CoclickInstance]) -> dict[PairKey, PairAggregate]:
-    """Count coclicks per (seed, similar) pair, keyed by normalized query."""
-    aggregates: dict[PairKey, PairAggregate] = {}
-    for inst in instances:
-        key = (inst.seed_id, inst.similar_id)
-        agg = aggregates.get(key)
-        if agg is None:
-            agg = aggregates[key] = PairAggregate(inst.seed_id, inst.similar_id)
-        nq = normalize_query(inst.query)
-        agg.query_counts[nq] = agg.query_counts.get(nq, 0) + 1
-    return aggregates
-
-
 def aggregate_sharded(events: Iterable[SessionEvent]) -> dict[PairKey, PairAggregate]:
-    """Aggregate a stream of events in one serial pass.
+    """Count each (session, query) group's coclicks per pair, in one serial pass.
 
-    The result equals ``aggregate_pairs(extract_coclicks(events))``.
     ``events`` is consumed once and may be a generator such as
-    :func:`parse_log`; groups need not be contiguous in it. Each group's
-    query is normalized once and its pairs are counted in place.
+    :func:`parse_log`; groups need not be contiguous in it. Each group holds
+    only its (rank, article_id) clicks; :func:`ranked_pairs` gives the pair
+    rule. Each group's query is normalized once and its pairs are counted in
+    place.
     """
+    groups: defaultdict[tuple[str, str], list[Click]] = defaultdict(list)
+    for session_id, query, rank, article_id, _ in events:
+        groups[session_id, query].append((rank, article_id))
     aggregates: dict[PairKey, PairAggregate] = {}
-    for (_, query), clicks in group_clicks(events).items():
+    for (_, query), clicks in groups.items():
         if len(clicks) < 2:
             continue
         nq = normalize_query(query)
@@ -202,8 +165,8 @@ def read_aggregates(fh: IO[str]) -> dict[PairKey, PairAggregate]:
 
     Raises :class:`DatasetError` with the line number for a record that is
     not valid JSON or lacks a field, a count that is not an integer of at
-    least 1, a ``combined_clicks`` that is not the sum of the counts, and a
-    (seed_id, similar_id) pair already read.
+    least 1, a ``combined_clicks`` that is not the sum of the counts or is
+    too large for a float, and a (seed_id, similar_id) pair already read.
     """
     aggregates: dict[PairKey, PairAggregate] = {}
     for lineno, line in enumerate(fh, start=1):
@@ -233,6 +196,9 @@ def _parse_aggregate(line: str) -> PairAggregate:
             raise ValueError(f"count {count!r} for query {query!r} is not an integer >= 1")
     if type(combined) is not int or combined != sum(query_counts.values()):
         raise ValueError(f"combined_clicks {combined!r} is not the sum of the query counts")
+    # The labeler converts each title token's click count, at most combined, to float.
+    if combined > sys.float_info.max:
+        raise ValueError("combined_clicks is too large for a float")
     return PairAggregate(seed_id, similar_id, query_counts)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .dataset import BuildConfig, build_examples, load_dataset, split_dataset, write_dataset
 from .evaluate import MetricsRow, metrics_rows, stratify_by_clicks, write_metrics_csv
-from .explain import Bm25, Explainer, HighlightAll, Overlapper, load_stopwords, predict_dataset
+from .explain import Bm25, Explainer, HighlightAll, Overlapper, predict_dataset
 from .logs import (
     ParseStats,
     aggregate_sharded,
@@ -108,13 +108,11 @@ def title_documents(articles: dict) -> list[list[str]]:
 
 
 def default_backends(articles: dict, tagger: TokenTagger | None = None) -> list[Explainer]:
-    """The standard comparison set, fitted on the article titles."""
-    docs = title_documents(articles)
-    stopwords = load_stopwords()
+    """The standard comparison set; BM25 is fitted on the article titles."""
     backends: list[Explainer] = [
         HighlightAll(),
-        Overlapper(stopwords=stopwords).fit(docs),
-        Bm25().fit(docs),
+        Overlapper(),
+        Bm25().fit(title_documents(articles)),
     ]
     if tagger is not None:
         backends.append(tagger)

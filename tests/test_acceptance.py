@@ -23,8 +23,8 @@ from coclick.dataset import (
     write_dataset,
 )
 from coclick.evaluate import aggregate, evaluate_predictions, stratify_by_clicks, stratify_by_similarity, title_metrics, token_metrics
-from coclick.explain import HighlightAll, bm25_token_score, predict_dataset
-from coclick.logs import Article, aggregate_pairs, extract_coclicks, parse_log
+from coclick.explain import Bm25, HighlightAll, predict_dataset
+from coclick.logs import Article, aggregate_sharded, parse_log
 from coclick.pipeline import benchmark_config, run_pipeline
 from coclick.scoring import IdfTable, compute_idf
 from coclick.tagger import TokenTagger, loss_and_grad
@@ -71,15 +71,17 @@ def test_criterion_2_bm25_oracle():
             ["flu", "shot", "efficacy", "study", "results", "data"],
             ["heart", "disease", "risk", "factors", "blood", "pressure", "obesity", "diet"],
         ]
-        idf = compute_idf(corpus)
-        score = bm25_token_score("covid", corpus[0], idf, avgdl=6.0)
+        backend = Bm25().fit(corpus)
+        assert backend.avgdl_ == 6.0
+        score = backend.score_tokens(make_example(" ".join(corpus[0]), "covid"))["covid"]
         assert abs(score - 1.0146509513914406) < 1e-9
 
-        table = IdfTable(doc_count=200, doc_freq={"t": 5})
+        backend.idf_ = IdfTable(doc_count=200, doc_freq={"t": 5})
+        backend.avgdl_ = 100.0
         sweep = []
         for tf in range(1, 101):
             doc = ["t"] * tf + [f"x{i}" for i in range(100 - tf)]
-            sweep.append(bm25_token_score("t", doc, table, avgdl=100.0))
+            sweep.append(backend.score_tokens(make_example(" ".join(doc), "t"))["t"])
         assert all(b > a for a, b in zip(sweep, sweep[1:]))
 
 
@@ -92,8 +94,7 @@ def test_criterion_3_builder_equivalence():
             lines, raw_articles, p=0.15, cap_fraction=0.40,
             min_clicks=20, min_title_len=7, min_nonzero=3,
         )
-        events = list(parse_log(lines))
-        aggregates = aggregate_pairs(extract_coclicks(events))
+        aggregates = aggregate_sharded(parse_log(lines))
         articles = {
             pid: Article(pid, title, abstract)
             for pid, (title, abstract) in raw_articles.items()

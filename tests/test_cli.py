@@ -368,6 +368,37 @@ class TestExitCodes:
         assert "line 2" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_count_too_large_for_a_float_fails_build_without_traceback(self, tmp_path):
+        articles = tmp_path / "articles.tsv"
+        articles.write_text(
+            "A\tVaccine dose response in adults\t\n"
+            "B\tVaccine dose timing and response in older adults\t\n",
+            encoding="utf-8",
+        )
+        count = 10**309
+        agg = tmp_path / "agg.jsonl"
+        agg.write_text(
+            json.dumps(
+                {
+                    "seed_id": "A",
+                    "similar_id": "B",
+                    "query_counts": {"vaccine dose response": count},
+                    "combined_clicks": count,
+                }
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        proc = run_cli(
+            "build",
+            "--aggregates", agg,
+            "--articles", articles,
+            "--out-prefix", tmp_path / "data",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "line 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_non_list_prediction_tokens_fail_eval_without_traceback(self, workdir, tmp_path):
         preds = tmp_path / "pred.jsonl"
         preds.write_text(

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from coclick.base import CoclickError
+from coclick.base import CoclickError, DatasetError
 from coclick.dataset import PairExample, TokenClickCounts, lower_tokens
 from coclick.evaluate import (
     aggregate,
@@ -217,6 +217,34 @@ class TestSimilarityStrata:
     def test_load_pair_scores(self):
         fh = io.StringIO('{"seed_id": "S", "similar_id": "T", "score": 0.25}\n')
         assert load_pair_scores(fh) == {("S", "T"): 0.25}
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"seed_id": "S", "similar_id": "U", "score": true}',
+            '{"seed_id": "S", "similar_id": "U", "score": "0.5"}',
+            '{"seed_id": 1, "similar_id": 2, "score": 0.5}',
+            '{"seed_id": "S", "similar_id": "U", "score": 1' + "0" * 400 + "}",
+        ],
+        ids=["bool_score", "string_score", "integer_ids", "score_too_large_for_a_float"],
+    )
+    def test_bad_record_fatal_with_line_number(self, record):
+        good = '{"seed_id": "S", "similar_id": "T", "score": 0.25}'
+        with pytest.raises(DatasetError, match="line 2"):
+            load_pair_scores(io.StringIO(good + "\n" + record + "\n"))
+
+    def test_non_finite_scores_load_and_are_excluded(self):
+        fh = io.StringIO(
+            '{"seed_id": "S0", "similar_id": "T", "score": NaN}\n'
+            '{"seed_id": "S1", "similar_id": "T", "score": Infinity}\n'
+            '{"seed_id": "S2", "similar_id": "T", "score": 3}\n'
+        )
+        scores = load_pair_scores(fh)
+        assert scores[("S1", "T")] == float("inf") and scores[("S2", "T")] == 3.0
+        examples = [make_example(pair=(f"S{i}", "T")) for i in range(3)]
+        strata, excluded = stratify_by_similarity(examples, scores)
+        assert excluded == 2
+        assert [k for s in strata for k in s.pair_keys] == [("S2", "T")]
 
 
 class TestMetricsReport:

@@ -15,17 +15,15 @@ from coclick.explain import (
     ExternalScores,
     HighlightAll,
     Overlapper,
-    bm25_token_score,
     embedding_token_relevance,
     load_embeddings,
     load_external_scores,
     load_stopwords,
-    overlapper,
     predict_dataset,
     select_top_k,
 )
 from coclick.explain import EmbeddingTable
-from coclick.scoring import IdfTable, compute_idf, threshold_cap_select
+from coclick.scoring import IdfTable, threshold_cap_select
 from coclick.text import positions_of
 
 import oracle_select
@@ -72,63 +70,81 @@ class TestHighlightAll:
 
 class TestOverlapper:
     def test_shared_tokens_minus_stopwords(self):
-        seed = lower_tokens("Safety of X Vaccine")
-        similar = lower_tokens("Efficacy of X Vaccine")
-        got = overlapper(seed, similar, stopwords={"of"})
-        assert got == {2, 3}  # x, vaccine
+        ex = make_example("Safety of X Vaccine", "Efficacy of X Vaccine")
+        assert Overlapper(stopwords={"of"}).predict_tokens(ex) == {"x", "vaccine"}
 
     def test_disjoint_titles_empty(self):
-        got = overlapper(
-            lower_tokens("alpha beta"), lower_tokens("gamma delta"), stopwords=set()
-        )
-        assert got == set()
+        ex = make_example("alpha beta", "gamma delta")
+        assert Overlapper(stopwords=set()).predict_tokens(ex) == set()
 
     def test_seed_document_sharing_all_content_words(self):
-        seed = lower_tokens("The Safety and Efficacy of the BNT162b2 mRNA Covid-19 Vaccine in trials")
-        similar = lower_tokens("Safety and Efficacy of the BNT162b2 mRNA Covid-19 Vaccine.")
-        got = overlapper(seed, similar, stopwords=load_stopwords())
-        texts = {similar[i] for i in got}
-        assert texts == {"safety", "efficacy", "bnt162b2", "mrna", "covid-19", "vaccine"}
+        ex = make_example(
+            "The Safety and Efficacy of the BNT162b2 mRNA Covid-19 Vaccine in trials",
+            "Safety and Efficacy of the BNT162b2 mRNA Covid-19 Vaccine.",
+        )
+        got = Overlapper(stopwords=load_stopwords()).predict_tokens(ex)
+        assert got == {"safety", "efficacy", "bnt162b2", "mrna", "covid-19", "vaccine"}
 
     def test_idf_floor_excludes_common_tokens(self):
-        idf = compute_idf([["x", "common"], ["common"], ["y", "common"]])
-        seed = lower_tokens("x common")
-        similar = lower_tokens("x common")
-        assert overlapper(seed, similar, set(), idf, idf_floor=0.5) == {0}
+        backend = Overlapper(stopwords=set(), idf_floor=0.5)
+        backend.fit([["x", "common"], ["common"], ["y", "common"]])
+        assert backend.predict_tokens(make_example("x common", "x common")) == {"x"}
 
     def test_no_stopword_ever_selected(self):
         rng = random.Random(3)
         stopwords = load_stopwords()
         pool = list(stopwords)[:20] + ["alpha", "beta", "gamma"]
+        backend = Overlapper(stopwords=stopwords)
         for _ in range(200):
-            seed = lower_tokens(" ".join(rng.choices(pool, k=rng.randint(1, 10))))
-            similar_tokens = lower_tokens(" ".join(rng.choices(pool, k=rng.randint(1, 10))))
-            got = overlapper(seed, similar_tokens, stopwords)
-            assert all(similar_tokens[i] not in stopwords for i in got)
+            ex = make_example(
+                " ".join(rng.choices(pool, k=rng.randint(1, 10))),
+                " ".join(rng.choices(pool, k=rng.randint(1, 10))),
+            )
+            got = backend.predict_tokens(ex)
+            assert got <= set(ex.seed_title_tokens) & set(ex.similar_title_tokens)
+            assert not got & stopwords
+
+    def test_default_backend_fits_no_idf_table(self):
+        from coclick.logs import Article
+        from coclick.pipeline import default_backends, title_documents
+
+        titles = ["Safety of X vaccine", "X vaccine dose", "Vaccine dose safety in Y", "Z risk"]
+        articles = {f"P{i}": Article(f"P{i}", title) for i, title in enumerate(titles)}
+        overlap = next(b for b in default_backends(articles) if b.name == "overlap")
+        assert overlap.idf_ is None
+        # The default floor of 0 excludes nothing: smoothed idf is always above it.
+        fitted = Overlapper().fit(title_documents(articles))
+        for seed in titles:
+            for similar in titles:
+                ex = make_example(seed, similar)
+                assert overlap.predict_tokens(ex) == fitted.predict_tokens(ex)
 
 
 class TestBm25:
+    @staticmethod
+    def micro_scores(seed_title, similar_title):
+        return Bm25().fit(MICRO_CORPUS).score_tokens(make_example(seed_title, similar_title))
+
     def test_frozen_hand_computation(self):
-        idf = compute_idf(MICRO_CORPUS)
-        score = bm25_token_score("covid", MICRO_CORPUS[0], idf, avgdl=6.0)
+        score = self.micro_scores(" ".join(MICRO_CORPUS[0]), "covid")["covid"]
         # idf = ln(1 + 2.5/1.5); tf term = 1.5 / (1 + 0.5*(0.7 + 0.3*4/6))
         assert abs(score - 1.0146509513914406) < 1e-9
 
     def test_zero_tf_scores_zero(self):
-        idf = compute_idf(MICRO_CORPUS)
-        assert bm25_token_score("absent", MICRO_CORPUS[0], idf, avgdl=6.0) == 0.0
+        assert self.micro_scores(" ".join(MICRO_CORPUS[0]), "absent covid")["absent"] == 0.0
 
     def test_strictly_monotone_in_tf(self):
-        idf = IdfTable(doc_count=10, doc_freq={"t": 2})
+        backend = Bm25()
+        backend.idf_ = IdfTable(doc_count=10, doc_freq={"t": 2})
+        backend.avgdl_ = 100.0
         scores = []
         for tf in range(1, 101):
-            doc = ["t"] * tf + [f"f{i}" for i in range(100 - tf)]
-            scores.append(bm25_token_score("t", doc, idf, avgdl=100.0))
+            doc = " ".join(["t"] * tf + [f"f{i}" for i in range(100 - tf)])
+            scores.append(backend.score_tokens(make_example(doc, "t"))["t"])
         assert all(b > a for a, b in zip(scores, scores[1:]))
 
     def test_case_insensitive_matching(self):
-        idf = compute_idf(MICRO_CORPUS)
-        assert bm25_token_score("COVID", ["Covid", "x"], idf, avgdl=2.0) > 0
+        assert self.micro_scores("Covid x", "COVID")["covid"] > 0
 
     def test_backend_requires_fit(self):
         from coclick.base import NotFittedError

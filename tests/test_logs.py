@@ -1,4 +1,4 @@
-"""Log parsing, coclick extraction, and aggregation tests."""
+"""Log parsing, coclick aggregation, and aggregate file tests."""
 
 import io
 import json
@@ -11,9 +11,7 @@ from coclick.logs import (
     PairAggregate,
     ParseStats,
     SessionEvent,
-    aggregate_pairs,
     aggregate_sharded,
-    extract_coclicks,
     normalize_query,
     parse_log,
     read_aggregates,
@@ -85,14 +83,18 @@ class TestParseLog:
         assert stats.malformed == 1
 
 
+def pair_counts(events):
+    """The streamed aggregates of ``events`` as {(seed, similar): query_counts}."""
+    return {key: agg.query_counts for key, agg in aggregate_sharded(events).items()}
+
+
 class TestExtractCoclicks:
     def test_two_clicks_one_pair(self):
         events = [make_event(rank=1, article="P1"), make_event(rank=3, article="P2")]
-        pairs = extract_coclicks(events)
-        assert [(c.seed_id, c.similar_id, c.query) for c in pairs] == [("P1", "P2", "q")]
+        assert pair_counts(events) == {("P1", "P2"): {"q": 1}}
 
     def test_single_click_no_pair(self):
-        assert extract_coclicks([make_event(rank=2)]) == []
+        assert pair_counts([make_event(rank=2)]) == {}
 
     def test_three_clicks_three_ordered_pairs(self):
         # hand enumeration: (P1,P2), (P1,P3), (P2,P3)
@@ -101,8 +103,7 @@ class TestExtractCoclicks:
             make_event(rank=2, article="P2"),
             make_event(rank=5, article="P3"),
         ]
-        got = {(c.seed_id, c.similar_id) for c in extract_coclicks(events)}
-        assert got == {("P1", "P2"), ("P1", "P3"), ("P2", "P3")}
+        assert set(pair_counts(events)) == {("P1", "P2"), ("P1", "P3"), ("P2", "P3")}
 
     def test_duplicate_click_deduplicated(self):
         events = [
@@ -110,7 +111,7 @@ class TestExtractCoclicks:
             make_event(rank=1, article="P1"),
             make_event(rank=2, article="P2"),
         ]
-        assert len(extract_coclicks(events)) == 1
+        assert pair_counts(events) == {("P1", "P2"): {"q": 1}}
 
     def test_same_article_two_ranks_keeps_lowest(self):
         events = [
@@ -118,19 +119,18 @@ class TestExtractCoclicks:
             make_event(rank=1, article="P2"),
             make_event(rank=4, article="P1"),
         ]
-        got = {(c.seed_id, c.similar_id) for c in extract_coclicks(events)}
-        assert got == {("P2", "P1")}
+        assert set(pair_counts(events)) == {("P2", "P1")}
 
     def test_equal_ranks_emit_nothing(self):
         events = [make_event(rank=2, article="P1"), make_event(rank=2, article="P2")]
-        assert extract_coclicks(events) == []
+        assert pair_counts(events) == {}
 
     def test_groups_split_by_query(self):
         events = [
             make_event(query="a", rank=1, article="P1"),
             make_event(query="b", rank=2, article="P2"),
         ]
-        assert extract_coclicks(events) == []
+        assert pair_counts(events) == {}
 
     def test_seed_rank_always_lower(self):
         rng = random.Random(13)
@@ -150,47 +150,42 @@ class TestExtractCoclicks:
             key = (e.session_id, e.query, e.article_id)
             best_rank[key] = min(best_rank.get(key, e.rank), e.rank)
         groups = {(e.session_id, e.query) for e in events}
-        for c in extract_coclicks(events):
-            assert c.seed_id != c.similar_id
-            candidates = [
-                (s, q) for (s, q) in groups
-                if (s, q, c.seed_id) in best_rank and (s, q, c.similar_id) in best_rank
-                and q == c.query
-            ]
-            assert any(
-                best_rank[(s, q, c.seed_id)] < best_rank[(s, q, c.similar_id)]
-                for s, q in candidates
-            )
+        for (seed_id, similar_id), query_counts in pair_counts(events).items():
+            assert seed_id != similar_id
+            for query in query_counts:
+                candidates = [
+                    (s, q) for (s, q) in groups
+                    if (s, q, seed_id) in best_rank and (s, q, similar_id) in best_rank
+                    and q == query
+                ]
+                assert any(
+                    best_rank[(s, q, seed_id)] < best_rank[(s, q, similar_id)]
+                    for s, q in candidates
+                )
 
 
 class TestAggregation:
     def test_counts_by_normalized_query(self):
-        instances = extract_coclicks(
-            [make_event(rank=1, article="P1", query="covid"), make_event(rank=2, article="P2", query="covid")]
-        ) * 3 + extract_coclicks(
-            [make_event(rank=1, article="P1", query="vaccine"), make_event(rank=2, article="P2", query="vaccine")]
-        )
-        agg = aggregate_pairs(instances)
+        events = [
+            make_event(session=f"s{i}", query=query, rank=rank, article=article)
+            for i, query in enumerate(["covid"] * 3 + ["vaccine"])
+            for rank, article in ((1, "P1"), (2, "P2"))
+        ]
+        agg = aggregate_sharded(events)
         assert agg[("P1", "P2")].query_counts == {"covid": 3, "vaccine": 1}
         assert agg[("P1", "P2")].combined_clicks == 4
 
     def test_case_variants_merge_under_normalization(self):
         assert normalize_query("Covid   Vaccine") == "covid vaccine"
-        instances = [
-            c
+        events = [
+            make_event(session=q, query=q, rank=rank, article=article)
             for q in ("Covid Vaccine", "covid  vaccine")
-            for c in extract_coclicks(
-                [
-                    make_event(session=q, query=q, rank=1, article="P1"),
-                    make_event(session=q, query=q, rank=2, article="P2"),
-                ]
-            )
+            for rank, article in ((1, "P1"), (2, "P2"))
         ]
-        agg = aggregate_pairs(instances)
-        assert agg[("P1", "P2")].query_counts == {"covid vaccine": 2}
+        assert pair_counts(events) == {("P1", "P2"): {"covid vaccine": 2}}
 
     def test_empty_instances(self):
-        assert aggregate_pairs([]) == {}
+        assert aggregate_sharded([]) == {}
 
 
 def random_events(rng, n):
@@ -240,16 +235,15 @@ class TestMergeProperties:
             for stream in (events, iter(events)):
                 got = aggregate_sharded(stream)
                 assert {k: v.query_counts for k, v in got.items()} == expected
-            assert {k: v.query_counts for k, v in aggregate_pairs(extract_coclicks(events)).items()} == expected
 
     def test_combined_clicks_equals_instance_count(self):
         rng = random.Random(17)
         events = random_events(rng, 80)
-        instances = extract_coclicks(events)
-        agg = aggregate_pairs(instances)
+        expected = brute_force_counts(events)
+        agg = aggregate_sharded(events)
+        assert set(agg) == set(expected)
         for key, pair_agg in agg.items():
-            n = sum(1 for c in instances if (c.seed_id, c.similar_id) == key)
-            assert pair_agg.combined_clicks == n
+            assert pair_agg.combined_clicks == sum(expected[key].values())
 
 
 class TestAggregateIO:
