@@ -1,5 +1,5 @@
-"""Shared plumbing: error types and input-validation helpers used across the
-package.
+"""Shared plumbing: error types, input-validation helpers and the one reader
+of pair-keyed JSON Lines files, used across the package.
 
 The estimator classes in this package follow the scikit-learn calling
 convention (hyperparameters are constructor arguments; ``fit`` returns
@@ -9,7 +9,11 @@ depending on scikit-learn itself.
 
 from __future__ import annotations
 
-from typing import Any
+import json
+from typing import Any, Callable, Iterable, TypeVar
+
+PairKey = tuple[str, str]
+T = TypeVar("T")
 
 
 class CoclickError(Exception):
@@ -44,7 +48,7 @@ def check_fitted(estimator: Any, attribute: str) -> None:
         )
 
 
-def json_pair_key(record: dict) -> tuple[str, str]:
+def json_pair_key(record: dict) -> PairKey:
     """A loaded record's (seed_id, similar_id); TypeError unless both are strings."""
     key = (record["seed_id"], record["similar_id"])
     if not all(isinstance(part, str) for part in key):
@@ -61,6 +65,47 @@ def json_number(value: Any, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def read_pair_records(
+    fh: Iterable[str], what: str, parse: Callable[[Any], tuple[PairKey, T]], path: str | None = None
+) -> dict[PairKey, T]:
+    """Read a JSON Lines file of pair-keyed records into a dict, in file order.
+
+    Blank lines are skipped. Each other line is decoded and handed to
+    ``parse``, which returns the record's (seed_id, similar_id) key and value
+    and raises KeyError, TypeError, ValueError or OverflowError for a bad
+    record. A line that is not UTF-8, not JSON or nested too deep to decode,
+    a bad record and a pair already read each raise :class:`DatasetError`
+    naming the ``what`` record's line, or ``path:line`` when ``path`` is given.
+    """
+
+    def where(lineno: int) -> str:
+        return f"{path}:{lineno}" if path else f"line {lineno}"
+
+    records: dict[PairKey, T] = {}
+    first_lines: dict[PairKey, int] = {}
+    lineno = 0
+    try:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            key, value = parse(json.loads(line))
+            if key in records:
+                raise DatasetError(
+                    f"duplicate {what} pair {key} at {where(lineno)}, first at {where(first_lines[key])}"
+                )
+            records[key] = value
+            first_lines[key] = lineno
+    except UnicodeDecodeError as exc:
+        # A text file decodes a chunk ahead of the line being read; the
+        # chunk's newlines before the bad byte place it.
+        lineno += 1 + exc.object[: exc.start].count(b"\n")
+        raise DatasetError(f"bad {what} record at {where(lineno)}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise DatasetError(f"bad {what} record at {where(lineno)}: {exc}") from exc
+    return records
 
 
 def check_ratios(ratios: tuple[float, ...]) -> None:

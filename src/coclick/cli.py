@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .base import CoclickError, ConfigError, DatasetError
+from .base import CoclickError, ConfigError, PairKey, json_pair_key, read_pair_records
 from .dataset import BuildConfig, load_dataset
 from .evaluate import (
     load_pair_scores,
@@ -344,9 +344,9 @@ def _build_backend(args):
         return HighlightAll()
     if args.backend == "overlap":
         require_articles("overlap")
-        return Overlapper(stopwords=stopwords, idf_floor=args.idf_floor).fit(
-            title_documents(articles)
-        )
+        overlap = Overlapper(stopwords=stopwords, idf_floor=args.idf_floor)
+        # Smoothed idf is always above 0, so only a positive floor needs the table.
+        return overlap.fit(title_documents(articles)) if args.idf_floor > 0 else overlap
     if args.backend == "bm25":
         require_articles("bm25")
         docs = corpus_documents(articles) if args.bm25_use_abstract else title_documents(articles)
@@ -399,23 +399,19 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def load_predictions(path: str) -> dict:
-    predictions = {}
+def _parse_prediction(record: dict) -> tuple[PairKey, set[str]]:
+    tokens = record["tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
+    return json_pair_key(record), set(tokens)
+
+
+def load_predictions(path: str) -> dict[PairKey, set[str]]:
+    """Read a predictions file; :func:`read_pair_records` rejects a bad or repeated
+    pair at ``path:line``. A record is bad when an id is not a string or
+    ``tokens`` is not a list of strings."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                key = (record["seed_id"], record["similar_id"])
-                tokens = record["tokens"]
-                if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                    raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
-                predictions[key] = set(tokens)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DatasetError(f"bad prediction record at {path}:{lineno}: {exc}") from exc
-    return predictions
+        return read_pair_records(fh, "prediction", _parse_prediction, path)
 
 
 def cmd_eval(args) -> int:

@@ -15,7 +15,7 @@ import json
 from dataclasses import InitVar, dataclass, field
 from typing import IO, Iterable, Sequence
 
-from .base import DatasetError, LabelingError, check_ratios
+from .base import LabelingError, check_ratios, read_pair_records
 from .logs import Article, PairAggregate, PairKey
 from .scoring import threshold_cap_select
 from .text import word_tokenize
@@ -293,41 +293,19 @@ def write_dataset(examples: Iterable[PairExample], fh: IO[str]) -> None:
 
 
 def load_dataset(fh: IO[str]) -> list[PairExample]:
-    """Read a dataset file written by :func:`write_dataset`.
+    """Read a dataset file written by :func:`write_dataset`, in file order.
 
-    Raises :class:`DatasetError` with the line number for a record that is
-    not valid JSON or lacks a field, an id or text that is not a string,
-    ``gold_tokens`` that are not a list of strings, a count that is not an
-    integer of at least 0, and gold or counted tokens outside the title.
-    Each distinct text is tokenized once per call.
+    :func:`read_pair_records` rejects a bad or repeated pair. A row is bad
+    when an id or text is not a string, ``gold_tokens`` is not a list of
+    strings, a count is not an integer of at least 0, or a gold or counted
+    token is not in the similar title. Each distinct text is tokenized once
+    per call.
     """
-    examples: list[PairExample] = []
     memo = TokenMemo()
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            ex = _parse_example(line, memo)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"bad dataset record at line {lineno}: {exc}") from exc
-        title_tokens = set(ex.unique_title_tokens())
-        if not ex.gold_tokens <= title_tokens:
-            raise DatasetError(
-                f"line {lineno}: gold tokens {sorted(ex.gold_tokens - title_tokens)} "
-                f"not in title of pair ({ex.seed_id}, {ex.similar_id})"
-            )
-        if not set(ex.token_counts.counts) <= title_tokens:
-            raise DatasetError(
-                f"line {lineno}: token_counts keys outside title for pair "
-                f"({ex.seed_id}, {ex.similar_id})"
-            )
-        examples.append(ex)
-    return examples
+    return list(read_pair_records(fh, "dataset", lambda record: _parse_example(record, memo)).values())
 
 
-def _parse_example(line: str, memo: TokenMemo) -> PairExample:
-    record = json.loads(line)
+def _parse_example(record: dict, memo: TokenMemo) -> tuple[PairKey, PairExample]:
     texts = {name: record[name] for name in TEXT_FIELDS}
     for name, text in texts.items():
         if not isinstance(text, str):
@@ -344,10 +322,16 @@ def _parse_example(line: str, memo: TokenMemo) -> PairExample:
             raise ValueError(f"count {count!r} for token {token!r} is not an integer >= 0")
     if type(combined) is not int or combined < 0:
         raise ValueError(f"combined_clicks {combined!r} is not an integer >= 0")
-    return PairExample(
+    ex = PairExample(
         **texts,
         gold_tokens=set(gold),
         token_counts=TokenClickCounts(counts),
         combined_clicks=combined,
         memo=memo,
     )
+    title_tokens = set(ex.similar_title_tokens)
+    if not ex.gold_tokens <= title_tokens:
+        raise ValueError(f"gold tokens {sorted(ex.gold_tokens - title_tokens)} not in title")
+    if not counts.keys() <= title_tokens:
+        raise ValueError("token_counts keys outside title")
+    return ex.pair_key, ex

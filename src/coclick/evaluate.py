@@ -10,13 +10,12 @@ on instance order.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .base import CoclickError, DatasetError, json_number, json_pair_key
+from .base import CoclickError, json_number, json_pair_key, read_pair_records
 from .dataset import PairExample
 from .logs import PairKey
 from .text import positions_of
@@ -215,22 +214,14 @@ def stratify_by_similarity(
 def load_pair_scores(fh: IO[str]) -> dict[PairKey, float]:
     """Read a pair-score file (JSON Lines: seed_id, similar_id, score).
 
-    A malformed line, an id that is not a string and a score that is not a
-    JSON number are fatal. NaN and infinite scores load as they are;
-    :func:`stratify_by_similarity` excludes and tallies them.
+    :func:`read_pair_records` rejects a bad or repeated pair. A record is bad
+    when an id is not a string or the score is not a JSON number. NaN and
+    infinite scores load as they are; :func:`stratify_by_similarity`
+    excludes and tallies them.
     """
-    scores: dict[PairKey, float] = {}
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            key = json_pair_key(record)
-            scores[key] = json_number(record["score"], "score")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DatasetError(f"bad pair-score record at line {lineno}: {exc}") from exc
-    return scores
+    return read_pair_records(
+        fh, "pair-score", lambda record: (json_pair_key(record), json_number(record["score"], "score"))
+    )
 
 
 @dataclass

@@ -10,7 +10,6 @@ overlap) select directly.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import Counter
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, Mapping, Sequence
 
-from .base import ConfigError, DatasetError, check_fitted, json_number, json_pair_key
+from .base import ConfigError, DatasetError, check_fitted, json_number, json_pair_key, read_pair_records
 from .dataset import PairExample
 from .logs import PairKey
 from .scoring import IdfTable, compute_idf, cosine, threshold_cap_select
@@ -106,37 +105,28 @@ def select_top_k(scores: Mapping[str, float], k: int, idf: IdfTable | None = Non
 
 
 def _external_entry(token, score) -> tuple[str, float]:
-    """One loaded score entry; TypeError unless ``token`` is a string and ``score`` a JSON number."""
+    """One loaded score entry; TypeError unless ``token`` is a string and ``score``
+    a JSON number, ValueError unless that number is finite."""
     if not isinstance(token, str):
         raise TypeError(f"token must be a string, got {token!r}")
-    return token.lower(), json_number(score, f"score for {token!r}")
+    value = json_number(score, f"score for {token!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"score for {token!r} is {value}")
+    return token.lower(), value
+
+
+def _parse_external_scores(record: dict) -> tuple[PairKey, list[tuple[str, float]]]:
+    return json_pair_key(record), [_external_entry(s["token"], s["score"]) for s in record["scores"]]
 
 
 def load_external_scores(fh: IO[str]) -> dict[PairKey, list[tuple[str, float]]]:
     """Read externally produced per-token scores (JSON Lines, one pair per line).
 
-    These files are machine-written, so malformed lines, an id or token that
-    is not a string and a score that is not a finite JSON number are fatal.
-    A repeated pair overwrites the earlier line, with a warning.
+    :func:`read_pair_records` rejects a bad or repeated pair. A record is bad
+    when an id or token is not a string or a score is not a finite JSON
+    number.
     """
-    scores: dict[PairKey, list[tuple[str, float]]] = {}
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            key = json_pair_key(record)
-            entries = [_external_entry(s["token"], s["score"]) for s in record["scores"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DatasetError(f"bad external score record at line {lineno}: {exc}") from exc
-        for token, score in entries:
-            if not math.isfinite(score):
-                raise DatasetError(f"external score for {token!r} at line {lineno} is {score}")
-        if key in scores:
-            log.warning("duplicate external scores for pair %s at line %d; last wins", key, lineno)
-        scores[key] = entries
-    return scores
+    return read_pair_records(fh, "external score", _parse_external_scores)
 
 
 class Explainer:

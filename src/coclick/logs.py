@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .base import DatasetError
+from .base import DatasetError, PairKey, json_pair_key, read_pair_records
 
 RAW_LOG_COLUMNS = ("session_id", "timestamp_ms", "query", "rank", "article_id")
 METADATA_COLUMNS = ("article_id", "title", "abstract")
 
-PairKey = tuple[str, str]
 Click = tuple[int, str]
 
 
@@ -163,33 +162,19 @@ def write_aggregates(aggregates: dict[PairKey, PairAggregate], fh: IO[str]) -> N
 def read_aggregates(fh: IO[str]) -> dict[PairKey, PairAggregate]:
     """Read aggregates written by :func:`write_aggregates`.
 
-    Raises :class:`DatasetError` with the line number for a record that is
-    not valid JSON or lacks a field, a count that is not an integer of at
-    least 1, a ``combined_clicks`` that is not the sum of the counts or is
-    too large for a float, and a (seed_id, similar_id) pair already read.
+    :func:`read_pair_records` rejects a bad or repeated pair. A record is bad
+    when an id is not a string, a count is not an integer of at least 1, or
+    ``combined_clicks`` is not the sum of the counts or is too large for a
+    float.
     """
-    aggregates: dict[PairKey, PairAggregate] = {}
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            agg = _parse_aggregate(line)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"bad aggregate record at line {lineno}: {exc}") from exc
-        key = (agg.seed_id, agg.similar_id)
-        if key in aggregates:
-            raise DatasetError(f"duplicate aggregate pair {key} at line {lineno}")
-        aggregates[key] = agg
-    return aggregates
+    return read_pair_records(fh, "aggregate", _parse_aggregate)
 
 
-def _parse_aggregate(line: str) -> PairAggregate:
-    record = json.loads(line)
-    seed_id, similar_id = record["seed_id"], record["similar_id"]
+def _parse_aggregate(record: dict) -> tuple[PairKey, PairAggregate]:
+    key = json_pair_key(record)
     query_counts, combined = record["query_counts"], record["combined_clicks"]
-    if not (isinstance(seed_id, str) and isinstance(similar_id, str) and isinstance(query_counts, dict)):
-        raise TypeError("seed_id and similar_id must be strings and query_counts an object")
+    if not isinstance(query_counts, dict):
+        raise TypeError(f"query_counts must be an object, got {query_counts!r}")
     for query, count in query_counts.items():
         # bool is a subclass of int, but true is no count
         if type(count) is not int or count < 1:
@@ -199,7 +184,7 @@ def _parse_aggregate(line: str) -> PairAggregate:
     # The labeler converts each title token's click count, at most combined, to float.
     if combined > sys.float_info.max:
         raise ValueError("combined_clicks is too large for a float")
-    return PairAggregate(seed_id, similar_id, query_counts)
+    return key, PairAggregate(*key, query_counts)
 
 
 @dataclass(frozen=True)

@@ -364,7 +364,7 @@ class TokenTagger(Explainer):
         """
         try:
             record = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DatasetError(f"checkpoint is not JSON: {exc}") from exc
         version = record.get("version") if isinstance(record, dict) else None
         if version != CHECKPOINT_VERSION:
@@ -379,7 +379,7 @@ class TokenTagger(Explainer):
             tagger.step_ = int(record["step"])
         except KeyError as exc:
             raise DatasetError(f"checkpoint has no key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DatasetError(f"bad checkpoint: {exc}") from exc
         expected = feature_names(tagger.merge_seed_features)
         if tagger.feature_names_ != expected:

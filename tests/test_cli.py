@@ -286,6 +286,24 @@ class TestOtherBackends:
         ]) == 0
         assert out.stat().st_size > 0
 
+    def test_default_overlap_fits_no_idf_table(self, workdir):
+        from coclick.dataset import load_dataset
+        from coclick.explain import Overlapper, load_stopwords
+        from coclick.logs import read_metadata
+        from coclick.pipeline import title_documents
+
+        args = coclick.cli.build_parser().parse_args([
+            "explain", "--dataset", str(workdir / "data.test.jsonl"), "--backend", "overlap",
+            "--articles", str(workdir / "articles.tsv"), "--out", "unused",
+        ])
+        backend = coclick.cli._build_backend(args)
+        assert backend.idf_ is None
+        with open(workdir / "articles.tsv", encoding="utf-8") as fh:
+            fitted = Overlapper(stopwords=load_stopwords()).fit(title_documents(read_metadata(fh)))
+        with open(workdir / "data.test.jsonl", encoding="utf-8") as fh:
+            examples = load_dataset(fh)
+        assert [backend.predict_tokens(ex) for ex in examples] == [fitted.predict_tokens(ex) for ex in examples]
+
 
 class TestEvalVariants:
     def test_similarity_strata(self, workdir, tmp_path):
@@ -497,6 +515,109 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "requires --articles" in capsys.readouterr().err
+
+
+def faulty_file(fault, first, second):
+    """Bytes of a JSON Lines file that starts with record ``first`` and breaks on line 2.
+
+    Returns the bytes and the lines the error must name: the bad line, then
+    for a repeated pair the line it repeats.
+    """
+    lines = [first.encode("utf-8"), second.encode("utf-8")]
+    if fault == "deep_nesting":
+        lines[1] = b"[" * 100_000
+    elif fault == "non_utf8":
+        lines[1] = lines[1][:13] + b"\xff" + lines[1][13:]
+    elif fault == "repeated":
+        return b"\n".join([lines[0], lines[0]]) + b"\n", (2, 1)
+    elif fault == "crlf":
+        return b"\r\n".join([lines[0], lines[1], lines[0]]) + b"\r\n", (3, 1)
+    elif fault == "truncated":
+        lines[1] = lines[1][:-1]
+    elif fault in ("nan_inf", "huge_int"):
+        seed_id = float("nan") if fault == "nan_inf" else 10**400
+        lines[1] = json.dumps({**json.loads(second), "seed_id": seed_id}).encode("utf-8")
+    elif fault == "non_object":
+        lines[1] = f"[{second}]".encode("utf-8")
+    return b"\n".join(lines) + b"\n", (2,)
+
+
+RECORD_FILE_ARGV = {
+    "aggregates": lambda w, f: [
+        "build", "--aggregates", f, "--articles", w / "articles.tsv", "--out-prefix", f.with_suffix(""),
+    ],
+    "dataset": lambda w, f: ["explain", "--dataset", f, "--backend", "all", "--out", f.with_suffix(".out")],
+    "predictions": lambda w, f: [
+        "eval", "--dataset", w / "data.test.jsonl", "--pred", f"m={f}", "--out", f.with_suffix(".csv"),
+    ],
+    "pair_scores": lambda w, f: [
+        "eval", "--dataset", w / "data.test.jsonl", "--pred", f"m={w / 'pred.all.jsonl'}",
+        "--strata", "similarity", "--pair-scores", f, "--out", f.with_suffix(".csv"),
+    ],
+    "external_scores": lambda w, f: [
+        "explain", "--dataset", w / "data.test.jsonl", "--backend", "external", "--scores", f,
+        "--out", f.with_suffix(".out"),
+    ],
+}
+
+
+class TestRecordFileFaults:
+    """Every pair-keyed JSON Lines input fails through the CLI with exit 1 and its line numbers."""
+
+    @staticmethod
+    def good_records(workdir, kind):
+        if kind in ("aggregates", "dataset", "predictions"):
+            name = {"aggregates": "agg.jsonl", "dataset": "data.test.jsonl", "predictions": "pred.all.jsonl"}
+            return (workdir / name[kind]).read_text("utf-8").splitlines()[:2]
+        rows = [json.loads(line) for line in (workdir / "data.test.jsonl").read_text("utf-8").splitlines()[:2]]
+        extra = {"score": 0.5} if kind == "pair_scores" else {"scores": [{"token": "dose", "score": 1.5}]}
+        return [json.dumps({"seed_id": r["seed_id"], "similar_id": r["similar_id"], **extra}) for r in rows]
+
+    @pytest.mark.parametrize(
+        "kind, fault",
+        [(kind, fault) for kind in RECORD_FILE_ARGV for fault in ("deep_nesting", "non_utf8", "repeated")]
+        + [
+            ("predictions", "truncated"),
+            ("aggregates", "crlf"),
+            ("predictions", "nan_inf"),
+            ("predictions", "huge_int"),
+            ("dataset", "non_object"),
+        ],
+    )
+    def test_fault_exits_1_naming_its_lines(self, workdir, tmp_path, capsys, kind, fault):
+        data, lines = faulty_file(fault, *self.good_records(workdir, kind))
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_bytes(data)
+        assert main([str(a) for a in RECORD_FILE_ARGV[kind](workdir, path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for lineno in lines:
+            assert (f"{path}:{lineno}" if kind == "predictions" else f"line {lineno}") in err
+
+    def test_integer_prediction_ids_rejected(self, workdir, tmp_path, capsys):
+        preds = tmp_path / "pred.jsonl"
+        preds.write_text('{"seed_id": 1, "similar_id": 2, "tokens": []}\n', encoding="utf-8")
+        code = main([
+            "eval", "--dataset", str(workdir / "data.test.jsonl"),
+            "--pred", f"m={preds}", "--out", str(tmp_path / "m.csv"),
+        ])
+        assert code == 1
+        assert f"{preds}:1" in capsys.readouterr().err
+
+    def test_deeply_nested_checkpoint_fails_explain_without_traceback(self, workdir, tmp_path):
+        checkpoint = tmp_path / "tagger.deep.json"
+        checkpoint.write_text("[" * 100_000, encoding="utf-8")
+        proc = run_cli(
+            "explain",
+            "--dataset", workdir / "data.test.jsonl",
+            "--backend", "tagger",
+            "--articles", workdir / "articles.tsv",
+            "--checkpoint", checkpoint,
+            "--out", tmp_path / "p.jsonl",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "checkpoint is not JSON" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestConfigFile:

@@ -350,6 +350,11 @@ class TestDatasetIO:
         with pytest.raises(DatasetError):
             load_dataset(io.StringIO("{not json"))
 
+    def test_repeated_pair_fatal_naming_both_lines(self):
+        text = dataset_line() + dataset_line(similar_id="U") + dataset_line(seed_title="other")
+        with pytest.raises(DatasetError, match=r"duplicate .* line 3, first at line 1"):
+            load_dataset(io.StringIO(text))
+
     def test_zero_token_counts_load(self):
         loaded = load_dataset(io.StringIO(dataset_line()))
         assert loaded[0].token_counts.counts == {"a": 3, "b": 0, "c": 0}

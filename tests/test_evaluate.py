@@ -233,6 +233,16 @@ class TestSimilarityStrata:
         with pytest.raises(DatasetError, match="line 2"):
             load_pair_scores(io.StringIO(good + "\n" + record + "\n"))
 
+    def test_repeated_pair_fatal_naming_both_lines(self):
+        # A second score for a pair used to replace the first without a word.
+        fh = io.StringIO(
+            '{"seed_id": "S", "similar_id": "T", "score": 0.1}\n'
+            "\n"
+            '{"seed_id": "S", "similar_id": "T", "score": 0.9}\n'
+        )
+        with pytest.raises(DatasetError, match=r"line 3, first at line 1"):
+            load_pair_scores(fh)
+
     def test_non_finite_scores_load_and_are_excluded(self):
         fh = io.StringIO(
             '{"seed_id": "S0", "similar_id": "T", "score": NaN}\n'

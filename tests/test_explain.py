@@ -1,7 +1,6 @@
 """Explainer backend and selection rule tests."""
 
 import io
-import logging
 import math
 import random
 
@@ -274,15 +273,14 @@ class TestExternalScores:
         scores = load_external_scores(fh)
         assert scores[("S1", "T1")] == [("covid", 2.5)]
 
-    def test_duplicate_pair_last_wins_with_warning(self, caplog):
+    def test_duplicate_pair_fatal_naming_both_lines(self):
         fh = io.StringIO(
             '{"seed_id": "S1", "similar_id": "T1", "scores": [{"token": "a", "score": 1}]}\n'
+            '{"seed_id": "S2", "similar_id": "T1", "scores": []}\n'
             '{"seed_id": "S1", "similar_id": "T1", "scores": [{"token": "b", "score": 2}]}\n'
         )
-        with caplog.at_level(logging.WARNING):
-            scores = load_external_scores(fh)
-        assert scores[("S1", "T1")] == [("b", 2.0)]
-        assert any("duplicate" in rec.message for rec in caplog.records)
+        with pytest.raises(DatasetError, match=r"duplicate .* line 3, first at line 1"):
+            load_external_scores(fh)
 
     def test_malformed_line_fatal(self):
         with pytest.raises(DatasetError):

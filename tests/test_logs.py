@@ -304,5 +304,5 @@ class TestAggregateIO:
 
     def test_duplicate_pair_rejected(self):
         record = {"seed_id": "P1", "similar_id": "P2", "query_counts": {"q": 1}, "combined_clicks": 1}
-        with pytest.raises(DatasetError, match="duplicate .* line 2"):
+        with pytest.raises(DatasetError, match="duplicate .* line 2, first at line 1"):
             self._read(record, {**record, "query_counts": {"r": 1}})

@@ -352,11 +352,27 @@ class TestCheckpoint:
             TokenTagger.load(io.StringIO(json.dumps(record)))
 
     @pytest.mark.parametrize(
-        "text", ["{not json", "[2]", '{"version": 2, "config": [], "feature_names": [], "weights": [], "step": 0}']
+        "text",
+        [
+            "{not json",
+            "[2]",
+            '{"version": 2, "config": [], "feature_names": [], "weights": [], "step": 0}',
+            pytest.param("[" * 100_000, id="deep_nesting"),
+        ],
     )
     def test_garbled_checkpoint_rejected(self, text):
         with pytest.raises(DatasetError):
             TokenTagger.load(io.StringIO(text))
+
+    def test_infinite_step_rejected(self):
+        tagger = TokenTagger(total_steps=20, batch_size=8, rng_seed=8).fit(
+            separable_examples(20, random.Random(47))
+        )
+        buf = io.StringIO()
+        tagger.save(buf)
+        record = {**json.loads(buf.getvalue()), "step": float("inf")}
+        with pytest.raises(DatasetError, match="bad checkpoint"):
+            TokenTagger.load(io.StringIO(json.dumps(record)))
 
     def test_config_round_trips_every_hyperparameter(self):
         tagger = TokenTagger(
