@@ -67,6 +67,17 @@ def json_number(value: Any, what: str) -> float:
     return float(value)
 
 
+def undecodable_line(exc: UnicodeDecodeError, lines_read: int) -> int:
+    """The number of the line holding the byte a text file failed to decode.
+
+    ``lines_read`` is how many lines the file had yielded when ``exc`` was
+    raised.
+    """
+    # A text file decodes a chunk ahead of the line being read; the
+    # chunk's newlines before the bad byte place it.
+    return lines_read + 1 + exc.object[: exc.start].count(b"\n")
+
+
 def read_pair_records(
     fh: Iterable[str], what: str, parse: Callable[[Any], tuple[PairKey, T]], path: str | None = None
 ) -> dict[PairKey, T]:
@@ -99,10 +110,7 @@ def read_pair_records(
             records[key] = value
             first_lines[key] = lineno
     except UnicodeDecodeError as exc:
-        # A text file decodes a chunk ahead of the line being read; the
-        # chunk's newlines before the bad byte place it.
-        lineno += 1 + exc.object[: exc.start].count(b"\n")
-        raise DatasetError(f"bad {what} record at {where(lineno)}: {exc}") from exc
+        raise DatasetError(f"bad {what} record at {where(undecodable_line(exc, lineno))}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DatasetError(f"bad {what} record at {where(lineno)}: {exc}") from exc
     return records

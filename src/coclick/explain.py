@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, Mapping, Sequence
 
-from .base import ConfigError, DatasetError, check_fitted, json_number, json_pair_key, read_pair_records
+from .base import (
+    ConfigError,
+    DatasetError,
+    check_fitted,
+    json_number,
+    json_pair_key,
+    read_pair_records,
+    undecodable_line,
+)
 from .dataset import PairExample
 from .logs import PairKey
 from .scoring import IdfTable, compute_idf, cosine, threshold_cap_select
@@ -49,31 +57,37 @@ class EmbeddingTable:
 def load_embeddings(fh: IO[str]) -> EmbeddingTable:
     """Read vectors in the ``count dim`` header text format.
 
-    The file is machine-written, so a bad header, a wrong component count and
-    a component that is not a finite number are fatal, with the line number.
+    The file is machine-written, so a bad header, a wrong component count, a
+    component that is not a finite number and a line that is not UTF-8 are
+    fatal, with the line number.
     """
-    header = fh.readline().split()
-    if len(header) != 2 or not all(field.isdecimal() for field in header) or int(header[1]) < 1:
-        raise DatasetError(
-            f"embedding line 1: expected a 'count dim' header, got {' '.join(header)!r}"
-        )
-    dim = int(header[1])
-    vectors: dict[str, list[float]] = {}
-    for lineno, line in enumerate(fh, start=2):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != dim + 1:
+    lineno = 0
+    try:
+        header = fh.readline().split()
+        lineno = 1
+        if len(header) != 2 or not all(field.isdecimal() for field in header) or int(header[1]) < 1:
             raise DatasetError(
-                f"embedding line {lineno}: expected {dim} components, got {len(parts) - 1}"
+                f"embedding line 1: expected a 'count dim' header, got {' '.join(header)!r}"
             )
-        try:
-            values = [float(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise DatasetError(f"embedding line {lineno}: {exc}") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise DatasetError(f"embedding line {lineno}: non-finite component")
-        vectors[parts[0].lower()] = values
+        dim = int(header[1])
+        vectors: dict[str, list[float]] = {}
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != dim + 1:
+                raise DatasetError(
+                    f"embedding line {lineno}: expected {dim} components, got {len(parts) - 1}"
+                )
+            try:
+                values = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise DatasetError(f"embedding line {lineno}: {exc}") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise DatasetError(f"embedding line {lineno}: non-finite component")
+            vectors[parts[0].lower()] = values
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"embedding line {undecodable_line(exc, lineno)}: {exc}") from exc
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 

@@ -9,6 +9,13 @@ one record per (seed, similar) pair holding a normalized-query -> count map.
 Ingest is one streamed pass: ``aggregate_sharded(parse_log(lines))`` holds a
 (rank, article_id) list per (session, query) group, never the events
 themselves, and counts each group's pairs straight into the aggregates.
+With ``flush_sessions=True`` it counts and drops a session's groups as soon
+as the next session starts, so the group map holds one session's clicks
+however long the log; the ids of finished sessions are kept to spot one
+that shows up again. That needs each session's lines to be contiguous, as
+``sort -s -t$'\\t' -k1,1`` makes them. A session that shows up again raises
+:class:`SessionReappeared`, and ``run_ingest`` then logs one warning and
+reads the log again holding every group.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .base import DatasetError, PairKey, json_pair_key, read_pair_records
+from .base import DatasetError, PairKey, json_pair_key, read_pair_records, undecodable_line
 
 RAW_LOG_COLUMNS = ("session_id", "timestamp_ms", "query", "rank", "article_id")
 METADATA_COLUMNS = ("article_id", "title", "abstract")
@@ -70,9 +77,10 @@ def parse_log(lines: Iterable[str], stats: ParseStats | None = None) -> Iterator
     Malformed lines (wrong field count, bad rank, empty query or article id)
     are skipped and tallied; real logs are dirty and a bad line should never
     abort an ingest. The tallies are added to ``stats`` when the stream is
-    used up or closed, not line by line.
+    used up or closed, not line by line. A line of a text file that is not
+    UTF-8 raises :class:`DatasetError` naming the line.
     """
-    parsed = malformed = 0
+    parsed = malformed = blank = 0
     width = len(RAW_LOG_COLUMNS)
     # Builds each event as a plain tuple of the subclass, skipping the
     # Python-level SessionEvent.__new__ call that otherwise runs per line.
@@ -81,7 +89,9 @@ def parse_log(lines: Iterable[str], stats: ParseStats | None = None) -> Iterator
         for line in lines:
             fields = line.rstrip("\n").split("\t")
             if len(fields) != width:
-                if fields != [""]:
+                if fields == [""]:
+                    blank += 1
+                else:
                     malformed += 1
                 continue
             session_id, ts_text, query, rank_text, article_id = fields
@@ -98,6 +108,9 @@ def parse_log(lines: Iterable[str], stats: ParseStats | None = None) -> Iterator
                 continue
             parsed += 1
             yield new_event(SessionEvent, (session_id, query, rank, article_id, timestamp))
+    except UnicodeDecodeError as exc:
+        lineno = undecodable_line(exc, parsed + malformed + blank)
+        raise DatasetError(f"raw log line {lineno} is not UTF-8: {exc}") from exc
     finally:
         if stats is not None:
             stats.parsed += parsed
@@ -120,29 +133,65 @@ def ranked_pairs(clicks: list[Click]) -> list[PairKey]:
     return [(seed, similar) for (r1, seed), (r2, similar) in combinations(ordered, 2) if r1 < r2]
 
 
-def aggregate_sharded(events: Iterable[SessionEvent]) -> dict[PairKey, PairAggregate]:
+class SessionReappeared(Exception):
+    """A session's events resumed after another session's began.
+
+    Raised by :func:`aggregate_sharded` with ``flush_sessions=True``, which
+    has already counted the session's earlier groups and so cannot go on.
+    """
+
+    def __init__(self, session_id: str):
+        super().__init__(session_id)
+        self.session_id = session_id
+
+
+def aggregate_sharded(
+    events: Iterable[SessionEvent], *, flush_sessions: bool = False
+) -> dict[PairKey, PairAggregate]:
     """Count each (session, query) group's coclicks per pair, in one serial pass.
 
     ``events`` is consumed once and may be a generator such as
-    :func:`parse_log`; groups need not be contiguous in it. Each group holds
-    only its (rank, article_id) clicks; :func:`ranked_pairs` gives the pair
-    rule. Each group's query is normalized once and its pairs are counted in
-    place.
+    :func:`parse_log`. Each group holds only its (rank, article_id) clicks;
+    :func:`ranked_pairs` gives the pair rule. Each group's query is
+    normalized once and its pairs are counted in place.
+
+    By default every group is held until ``events`` ends, so groups need not
+    be contiguous and any event order gives exact counts. With
+    ``flush_sessions=True`` a session's groups are counted and dropped when
+    the next session starts. A session seen again after that closes
+    ``events`` (ending a :func:`parse_log` generator, which adds its tallies
+    once) and raises :class:`SessionReappeared`.
     """
     groups: defaultdict[tuple[str, str], list[Click]] = defaultdict(list)
-    for session_id, query, rank, article_id, _ in events:
-        groups[session_id, query].append((rank, article_id))
     aggregates: dict[PairKey, PairAggregate] = {}
-    for (_, query), clicks in groups.items():
-        if len(clicks) < 2:
-            continue
-        nq = normalize_query(query)
-        for pair in ranked_pairs(clicks):
-            agg = aggregates.get(pair)
-            if agg is None:
-                agg = aggregates[pair] = PairAggregate(*pair)
-            counts = agg.query_counts
-            counts[nq] = counts.get(nq, 0) + 1
+
+    def count_groups() -> None:
+        for (_, query), clicks in groups.items():
+            if len(clicks) < 2:
+                continue
+            nq = normalize_query(query)
+            for pair in ranked_pairs(clicks):
+                agg = aggregates.get(pair)
+                if agg is None:
+                    agg = aggregates[pair] = PairAggregate(*pair)
+                counts = agg.query_counts
+                counts[nq] = counts.get(nq, 0) + 1
+        groups.clear()
+
+    current: str | None = None
+    started: set[str] = set()
+    for session_id, query, rank, article_id, _ in events:
+        if flush_sessions and session_id != current:
+            count_groups()
+            if session_id in started:
+                close = getattr(events, "close", None)
+                if close is not None:
+                    close()
+                raise SessionReappeared(session_id)
+            started.add(session_id)
+            current = session_id
+        groups[session_id, query].append((rank, article_id))
+    count_groups()
     return aggregates
 
 
@@ -197,17 +246,21 @@ class Article:
 def read_metadata(fh: IO[str]) -> dict[str, Article]:
     """Read the article metadata TSV (article_id, title, abstract)."""
     articles: dict[str, Article] = {}
-    for lineno, line in enumerate(fh, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) == 2:
-            fields.append("")
-        if len(fields) != len(METADATA_COLUMNS):
-            raise DatasetError(f"bad metadata row at line {lineno}: {line!r}")
-        article_id, title, abstract = fields
-        articles[article_id] = Article(article_id, title, abstract)
+    lineno = 0
+    try:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) == 2:
+                fields.append("")
+            if len(fields) != len(METADATA_COLUMNS):
+                raise DatasetError(f"bad metadata row at line {lineno}: {line!r}")
+            article_id, title, abstract = fields
+            articles[article_id] = Article(article_id, title, abstract)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"bad metadata row at line {undecodable_line(exc, lineno)}: {exc}") from exc
     return articles
 
 

@@ -12,16 +12,20 @@ the click-count labeler's softmax margins wide enough for clean gold sets.
 
 from __future__ import annotations
 
+import logging
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .base import PairKey
 from .dataset import BuildConfig, build_examples, load_dataset, split_dataset, write_dataset
 from .evaluate import MetricsRow, metrics_rows, stratify_by_clicks, write_metrics_csv
 from .explain import Bm25, Explainer, HighlightAll, Overlapper, predict_dataset
 from .logs import (
+    PairAggregate,
     ParseStats,
+    SessionReappeared,
     aggregate_sharded,
     parse_log,
     read_aggregates,
@@ -34,6 +38,8 @@ from .scoring import compute_idf
 from .synth import SynthConfig, generate_corpus, generate_sessions, write_truth
 from .tagger import TokenTagger
 from .text import word_tokenize
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -138,11 +144,31 @@ def run_synth(out_dir: str | Path, config: SynthConfig) -> tuple[int, int]:
     return len(events), len(corpus.articles)
 
 
-def run_ingest(log_path: str | Path, out_path: str | Path) -> tuple[ParseStats, int]:
-    """Stream the raw log into pair aggregates; returns the parse tallies and pair count."""
+def _aggregate_log(
+    log_path: str | Path, flush_sessions: bool
+) -> tuple[dict[PairKey, PairAggregate], ParseStats]:
     stats = ParseStats()
     with open(log_path, encoding="utf-8") as fh:
-        aggregates = aggregate_sharded(parse_log(fh, stats))
+        return aggregate_sharded(parse_log(fh, stats), flush_sessions=flush_sessions), stats
+
+
+def run_ingest(log_path: str | Path, out_path: str | Path) -> tuple[ParseStats, int]:
+    """Stream the raw log into pair aggregates; returns the parse tallies and pair count.
+
+    Each session's coclicks are counted when the session ends, so only one
+    session's clicks are held at a time. If a session's lines are not
+    contiguous, one warning is logged and the log is read again holding
+    every (session, query) group until the end.
+    """
+    try:
+        aggregates, stats = _aggregate_log(log_path, flush_sessions=True)
+    except SessionReappeared as exc:
+        log.warning(
+            "%s: session %r reappears after other sessions; reading the log again with every "
+            "session held in memory (sort -s -t$'\\t' -k1,1 groups each session's lines)",
+            log_path, exc.session_id,
+        )
+        aggregates, stats = _aggregate_log(log_path, flush_sessions=False)
     with open(out_path, "w", encoding="utf-8") as fh:
         write_aggregates(aggregates, fh)
     return stats, len(aggregates)

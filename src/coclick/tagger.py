@@ -359,8 +359,9 @@ class TokenTagger(Explainer):
     ) -> "TokenTagger":
         """Restore a tagger saved by :meth:`save`.
 
-        A checkpoint that is not JSON, has another version, or lacks or
-        garbles a key raises :class:`DatasetError` naming the problem.
+        A checkpoint that is not JSON, has another version, lacks or garbles
+        a key, holds a weight that is not finite or a step that is not an
+        integer raises :class:`DatasetError` naming the problem.
         """
         try:
             record = json.load(fh)
@@ -376,7 +377,7 @@ class TokenTagger(Explainer):
             )
             tagger.feature_names_ = tuple(record["feature_names"])
             tagger.weights_ = np.array(record["weights"], dtype=np.float64)
-            tagger.step_ = int(record["step"])
+            step = record["step"]
         except KeyError as exc:
             raise DatasetError(f"checkpoint has no key {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
@@ -386,6 +387,12 @@ class TokenTagger(Explainer):
             raise DatasetError("checkpoint feature names do not match this build")
         if tagger.weights_.shape != (len(expected),):
             raise DatasetError("checkpoint weight vector has the wrong dimension")
+        if not np.isfinite(tagger.weights_).all():
+            raise DatasetError("bad checkpoint: a weight is not finite")
+        # bool is a subclass of int, but true is no step
+        if type(step) is not int:
+            raise DatasetError(f"bad checkpoint: step {step!r} is not an integer")
+        tagger.step_ = step
         if idf is not None:
             tagger.idf_ = idf
         if stopwords is not None:

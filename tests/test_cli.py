@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -483,6 +484,64 @@ class TestExitCodes:
         assert where in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_non_utf8_log_fails_ingest_without_traceback(self, tmp_path):
+        log = tmp_path / "raw_log.tsv"
+        log.write_bytes(b"s1\t0\tq\t1\tP1\ns1\t1\tq\xff\t2\tP2\n")
+        proc = run_cli("ingest", "--log", log, "--out", tmp_path / "agg.jsonl")
+        assert proc.returncode == 1
+        assert "error: raw log line 2 is not UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_articles_fail_build_without_traceback(self, workdir, tmp_path):
+        articles = tmp_path / "articles.tsv"
+        articles.write_bytes(b"P1\tA title\tAn abstract\nP2\tA \xfftitle\t\n")
+        proc = run_cli(
+            "build",
+            "--aggregates", workdir / "agg.jsonl",
+            "--articles", articles,
+            "--out-prefix", tmp_path / "data",
+        )
+        assert proc.returncode == 1
+        assert "error: bad metadata row at line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_embeddings_fail_explain_without_traceback(self, workdir, tmp_path):
+        emb = tmp_path / "vectors.txt"
+        emb.write_bytes(b"2 2\nalpha 1 2\n\xfe 1 2\n")
+        proc = run_cli(
+            "explain",
+            "--dataset", workdir / "data.test.jsonl",
+            "--backend", "embed", "--embeddings", emb,
+            "--out", tmp_path / "p.jsonl",
+        )
+        assert proc.returncode == 1
+        assert "error: embedding line 3" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"step": 7.9}, "step 7.9 is not an integer"), ({"weights": "nan"}, "weight is not finite")],
+    )
+    def test_bad_checkpoint_value_fails_explain_without_traceback(self, workdir, tmp_path, change, message):
+        record = json.loads((workdir / "tagger.json").read_text("utf-8"))
+        if "weights" in change:
+            record["weights"] = [float(change["weights"])] * len(record["weights"])
+        else:
+            record.update(change)
+        checkpoint = tmp_path / "tagger.bad.json"
+        checkpoint.write_text(json.dumps(record), encoding="utf-8")
+        proc = run_cli(
+            "explain",
+            "--dataset", workdir / "data.test.jsonl",
+            "--backend", "tagger",
+            "--articles", workdir / "articles.tsv",
+            "--checkpoint", checkpoint,
+            "--out", tmp_path / "p.jsonl",
+        )
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "record",
         [
@@ -841,6 +900,17 @@ class TestTracerLookupSites:
             "dataset.write", "dataset.write", "dataset.write",
         ]
         assert all(getattr(mod, n) is fn for (mod, n), fn in originals.items())
+
+    def test_traced_ingest_of_interleaved_log(self, tracing, workdir, tmp_path):
+        lines = (workdir / "raw_log.tsv").read_text("utf-8").splitlines(True)
+        random.Random(1).shuffle(lines)
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text("".join(lines), encoding="utf-8")
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            assert main(["ingest", "--log", str(shuffled), "--out", str(tmp_path / "agg.jsonl")]) == 0
+        assert (tmp_path / "agg.jsonl").read_bytes() == (workdir / "agg.jsonl").read_bytes()
+        assert [s.name for s in tracer.spans].count("logs.parse") == 2
 
     def test_run_pipeline_spans(self, tracing, tmp_path):
         tracer = tracing.Tracer()

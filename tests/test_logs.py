@@ -2,7 +2,9 @@
 
 import io
 import json
+import logging
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,12 +13,14 @@ from coclick.logs import (
     PairAggregate,
     ParseStats,
     SessionEvent,
+    SessionReappeared,
     aggregate_sharded,
     normalize_query,
     parse_log,
     read_aggregates,
     write_aggregates,
 )
+from coclick.pipeline import run_ingest
 
 
 def make_event(session="s1", query="q", rank=1, article="P1", ts=0):
@@ -68,6 +72,18 @@ class TestParseLog:
         stats = ParseStats()
         assert len(list(parse_log(lines, stats))) == 2
         assert (stats.parsed, stats.malformed) == (2, 2)
+
+    @pytest.mark.parametrize("bad_line", [3, 900])
+    def test_non_utf8_line_named(self, bad_line):
+        # Line 900 lies past the text file's first decoded chunk; line 2 is
+        # blank, which parse_log does not tally but must still count.
+        lines = [f"s{i}\t{i}\tq\t1\tP{i}\n".encode() for i in range(1, 1000)]
+        lines[bad_line - 1] = b"s\t0\tq\xff\t1\tP1\n"
+        lines[1] = b"\n"
+        stats = ParseStats()
+        with pytest.raises(DatasetError, match=f"raw log line {bad_line} is not UTF-8"):
+            list(parse_log(io.TextIOWrapper(io.BytesIO(b"".join(lines)), encoding="utf-8"), stats))
+        assert stats.parsed < bad_line
 
     def test_mixed_stream_counts(self):
         lines = [
@@ -244,6 +260,88 @@ class TestMergeProperties:
         assert set(agg) == set(expected)
         for key, pair_agg in agg.items():
             assert pair_agg.combined_clicks == sum(expected[key].values())
+
+
+def session_log(rng, sessions):
+    """Raw-log lines of ``sessions`` sessions, each contiguous, with a few bad and blank lines."""
+    lines = []
+    for i in range(sessions):
+        for query in rng.sample(["covid", "Covid  vaccine", "flu shot", "mrna"], rng.randint(1, 2)):
+            for rank in rng.sample(range(1, 6), rng.randint(1, 4)):
+                lines.append(f"s{i}\t{rng.randint(0, 999)}\t{query}\t{rank}\tP{rng.randint(1, 8)}\n")
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["bad line\n", f"s{i}\t1\tq\tzero\tP1\n", "\n"]))
+    return lines
+
+
+def ingest_counts(tmp_path, name, lines):
+    """``run_ingest`` of ``lines`` as {(seed, similar): query_counts}, with its parse tallies."""
+    log_path, out_path = tmp_path / f"{name}.tsv", tmp_path / f"{name}.jsonl"
+    log_path.write_text("".join(lines), encoding="utf-8")
+    stats, n_pairs = run_ingest(log_path, out_path)
+    with open(out_path, encoding="utf-8") as fh:
+        aggregates = read_aggregates(fh)
+    assert n_pairs == len(aggregates)
+    return {k: v.query_counts for k, v in aggregates.items()}, (stats.parsed, stats.malformed)
+
+
+class TestSessionFlush:
+    def test_flushed_aggregate_matches_brute_force_on_contiguous_sessions(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            events = sorted(random_events(rng, rng.randint(0, 100)), key=lambda e: e.session_id)
+            got = aggregate_sharded(iter(events), flush_sessions=True)
+            assert {k: v.query_counts for k, v in got.items()} == brute_force_counts(events)
+
+    def test_reappearing_session_closes_the_stream_then_signals(self):
+        lines = ["a\t1\tq\t1\tP1", "a\t2\tq\t2\tP2", "b\t3\tq\t1\tP1", "bad", "a\t4\tq\t3\tP3", "c\t5\tq\t1\tP1"]
+        stats = ParseStats()
+        stream = parse_log(lines, stats)
+        with pytest.raises(SessionReappeared) as exc:
+            aggregate_sharded(stream, flush_sessions=True)
+        assert exc.value.session_id == "a"
+        assert stream.gi_frame is None
+        assert (stats.parsed, stats.malformed) == (4, 1)
+
+    def test_ingest_of_shuffled_and_sorted_logs_equals_recount(self, tmp_path, caplog):
+        lines = session_log(random.Random(3), 300)
+        shuffled = lines[:]
+        random.Random(4).shuffle(shuffled)
+        ordered = sorted(shuffled, key=lambda line: line.split("\t")[0])
+        stats = ParseStats()
+        expected = brute_force_counts(list(parse_log(lines, stats)))
+        for name, log_lines, warnings in (("sorted", ordered, 0), ("shuffled", shuffled, 1)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="coclick"):
+                counts, tallies = ingest_counts(tmp_path, name, log_lines)
+            assert counts == expected
+            assert tallies == (stats.parsed, stats.malformed)
+            records = [r for r in caplog.records if r.levelno == logging.WARNING]
+            assert len(records) == warnings, name
+        message = records[0].getMessage()
+        assert "reappears" in message and "sort -s -t$'\\t' -k1,1" in message
+
+    def test_flushed_pass_holds_one_session(self):
+        articles = [f"P{k}" for k in range(5)]
+
+        def events(sessions=80_000):
+            # A session-sorted log: two or three clicks per session.
+            for i in range(sessions):
+                session = f"s{i:06d}"
+                for rank in range(1, 3 + i % 2):
+                    yield SessionEvent(session, "q", rank, articles[(i + rank) % 5], 0)
+
+        peaks, counts = {}, {}
+        for flush in (False, True):
+            tracemalloc.start()
+            try:
+                aggregates = aggregate_sharded(events(), flush_sessions=flush)
+                peaks[flush] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            counts[flush] = {k: v.query_counts for k, v in aggregates.items()}
+        assert counts[True] == counts[False]
+        assert peaks[True] <= peaks[False] / 2, peaks
 
 
 class TestAggregateIO:

@@ -374,6 +374,29 @@ class TestCheckpoint:
         with pytest.raises(DatasetError, match="bad checkpoint"):
             TokenTagger.load(io.StringIO(json.dumps(record)))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"step": 7.9}, "step 7.9 is not an integer"),
+            ({"step": True}, "step True is not an integer"),
+            ({"weights": "nan"}, "weight is not finite"),
+            ({"weights": "-inf"}, "weight is not finite"),
+        ],
+    )
+    def test_non_integer_step_or_non_finite_weight_rejected(self, change, message):
+        tagger = TokenTagger(total_steps=20, batch_size=8, rng_seed=8).fit(
+            separable_examples(20, random.Random(47))
+        )
+        buf = io.StringIO()
+        tagger.save(buf)
+        record = json.loads(buf.getvalue())
+        if "weights" in change:
+            record["weights"][-1] = float(change["weights"])
+        else:
+            record.update(change)
+        with pytest.raises(DatasetError, match=message):
+            TokenTagger.load(io.StringIO(json.dumps(record)))
+
     def test_config_round_trips_every_hyperparameter(self):
         tagger = TokenTagger(
             lr=0.02, beta1=0.8, beta2=0.99, total_steps=30, batch_size=4, rng_seed=2,
