@@ -14,8 +14,9 @@ as the next session starts, so the group map holds one session's clicks
 however long the log; the ids of finished sessions are kept to spot one
 that shows up again. That needs each session's lines to be contiguous, as
 ``sort -s -t$'\\t' -k1,1`` makes them. A session that shows up again raises
-:class:`SessionReappeared`, and ``run_ingest`` then logs one warning and
-reads the log again holding every group.
+:class:`SessionReappeared`, and ``run_ingest`` then logs one warning, seeks
+back to the start and reads the log again holding every group. A log that
+cannot seek, such as a pipe, is read once holding every group.
 """
 
 from __future__ import annotations

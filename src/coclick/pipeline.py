@@ -144,31 +144,29 @@ def run_synth(out_dir: str | Path, config: SynthConfig) -> tuple[int, int]:
     return len(events), len(corpus.articles)
 
 
-def _aggregate_log(
-    log_path: str | Path, flush_sessions: bool
-) -> tuple[dict[PairKey, PairAggregate], ParseStats]:
-    stats = ParseStats()
-    with open(log_path, encoding="utf-8") as fh:
-        return aggregate_sharded(parse_log(fh, stats), flush_sessions=flush_sessions), stats
-
-
 def run_ingest(log_path: str | Path, out_path: str | Path) -> tuple[ParseStats, int]:
     """Stream the raw log into pair aggregates; returns the parse tallies and pair count.
 
-    Each session's coclicks are counted when the session ends, so only one
-    session's clicks are held at a time. If a session's lines are not
-    contiguous, one warning is logged and the log is read again holding
-    every (session, query) group until the end.
+    The log is opened once. If it can seek, each session's coclicks are
+    counted when the session ends, so only one session's clicks are held at a
+    time; should a session's lines not be contiguous, one warning is logged
+    and the log is read again from the start holding every (session, query)
+    group until the end. A log that cannot seek, such as a pipe, is read once
+    holding every group.
     """
-    try:
-        aggregates, stats = _aggregate_log(log_path, flush_sessions=True)
-    except SessionReappeared as exc:
-        log.warning(
-            "%s: session %r reappears after other sessions; reading the log again with every "
-            "session held in memory (sort -s -t$'\\t' -k1,1 groups each session's lines)",
-            log_path, exc.session_id,
-        )
-        aggregates, stats = _aggregate_log(log_path, flush_sessions=False)
+    stats = ParseStats()
+    with open(log_path, encoding="utf-8") as fh:
+        try:
+            aggregates = aggregate_sharded(parse_log(fh, stats), flush_sessions=fh.seekable())
+        except SessionReappeared as exc:
+            log.warning(
+                "%s: session %r reappears after other sessions; reading the log again with every "
+                "session held in memory (sort -s -t$'\\t' -k1,1 groups each session's lines)",
+                log_path, exc.session_id,
+            )
+            fh.seek(0)
+            stats = ParseStats()
+            aggregates = aggregate_sharded(parse_log(fh, stats))
     with open(out_path, "w", encoding="utf-8") as fh:
         write_aggregates(aggregates, fh)
     return stats, len(aggregates)

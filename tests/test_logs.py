@@ -3,7 +3,9 @@
 import io
 import json
 import logging
+import os
 import random
+import threading
 import tracemalloc
 
 import pytest
@@ -320,6 +322,36 @@ class TestSessionFlush:
             assert len(records) == warnings, name
         message = records[0].getMessage()
         assert "reappears" in message and "sort -s -t$'\\t' -k1,1" in message
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_ingest_of_shuffled_log_through_a_pipe_equals_recount(self, tmp_path, caplog):
+        # A pipe cannot be read twice, so the log is read once holding every
+        # group. The log is larger than a pipe's buffer, so a second open
+        # would find the writer still writing and read only the rest.
+        lines = session_log(random.Random(3), 3000)
+        random.Random(4).shuffle(lines)
+        stats = ParseStats()
+        expected = brute_force_counts(list(parse_log(lines, stats)))
+        fifo, out_path = tmp_path / "raw_log.fifo", tmp_path / "agg.jsonl"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.writelines(lines)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with caplog.at_level(logging.WARNING, logger="coclick"):
+                got_stats, n_pairs = run_ingest(fifo, out_path)
+        finally:
+            writer.join()
+        with open(out_path, encoding="utf-8") as fh:
+            aggregates = read_aggregates(fh)
+        assert {k: v.query_counts for k, v in aggregates.items()} == expected
+        assert n_pairs == len(expected)
+        assert (got_stats.parsed, got_stats.malformed) == (stats.parsed, stats.malformed)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_flushed_pass_holds_one_session(self):
         articles = [f"P{k}" for k in range(5)]
