@@ -164,6 +164,10 @@ def run_ingest(log_path: str | Path, out_path: str | Path) -> tuple[ParseStats, 
                 "session held in memory (sort -s -t$'\\t' -k1,1 groups each session's lines)",
                 log_path, exc.session_id,
             )
+            aggregates = None
+        # Re-read outside the handler: the signal's traceback holds the first
+        # pass's aggregates and session ids until the handler ends.
+        if aggregates is None:
             fh.seek(0)
             stats = ParseStats()
             aggregates = aggregate_sharded(parse_log(fh, stats))

@@ -376,6 +376,32 @@ class TestSessionFlush:
         assert peaks[True] <= peaks[False] / 2, peaks
 
 
+    def test_fallback_after_a_late_reappearance_peaks_like_one_hold_all_pass(self, tmp_path):
+        # A session-sorted log whose first line moved last: the flushed pass
+        # runs to the end before the fallback, and its session ids and
+        # aggregates must be freed before the log is read again.
+        lines = [
+            f"s{i:06d}\t0\tq\t{rank}\tP{(i + rank) % 5}\n"
+            for i in range(10_000)
+            for rank in range(1, 3 + i % 2)
+        ]
+        lines = lines[1:] + lines[:1]
+        log_path = tmp_path / "late.tsv"
+        log_path.write_text("".join(lines), encoding="utf-8")
+        peaks = {}
+        for name, run in (
+            ("hold_all", lambda: aggregate_sharded(parse_log(lines))),
+            ("ingest", lambda: run_ingest(log_path, tmp_path / "agg.jsonl")),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["ingest"] <= 1.1 * peaks["hold_all"], peaks
+
+
 class TestAggregateIO:
     def test_round_trip(self):
         agg = {
