@@ -15,15 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-from .base import CoclickError, ConfigError, PairKey, json_pair_key, read_pair_records
+from .base import CoclickError, ConfigError
 from .dataset import BuildConfig, load_dataset
-from .evaluate import (
-    load_pair_scores,
-    metrics_rows,
-    stratify_by_clicks,
-    stratify_by_similarity,
-    write_metrics_csv,
-)
 from .explain import (
     SELECTORS,
     Bm25,
@@ -33,13 +26,15 @@ from .explain import (
     Overlapper,
     load_embeddings,
     load_external_scores,
+    load_predictions,
     load_stopwords,
-    predict_dataset,
 )
 from .logs import read_metadata
 from .pipeline import (
     corpus_documents,
     run_build,
+    run_eval,
+    run_explain,
     run_ingest,
     run_synth,
     run_train,
@@ -61,6 +56,8 @@ from .text import positions_of
 # Not called here: perfbench/tracing.py wraps these stage functions on
 # coclick.cli as well as on coclick.pipeline, and fails if one is missing.
 from .dataset import build_examples, split_dataset, write_dataset  # noqa: F401
+from .evaluate import metrics_rows  # noqa: F401
+from .explain import predict_dataset  # noqa: F401
 from .logs import aggregate_sharded, parse_log, read_aggregates, write_aggregates  # noqa: F401
 
 
@@ -249,11 +246,6 @@ def _config_path(args: list[str]) -> str | None:
     return None
 
 
-def _usage_error(message: str) -> int:
-    print(f"usage error: {message}", file=sys.stderr)
-    return 2
-
-
 def cmd_synth(args) -> int:
     config = SynthConfig(
         n_articles=args.n_articles,
@@ -326,7 +318,7 @@ def cmd_train(args) -> int:
 
 
 def _build_backend(args):
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else load_stopwords()
+    stopwords = load_stopwords(args.stopwords)
     articles = None
     if args.articles:
         with open(args.articles, encoding="utf-8") as fh:
@@ -375,66 +367,19 @@ def _build_backend(args):
 
 
 def cmd_explain(args) -> int:
-    with open(args.dataset, encoding="utf-8") as fh:
-        examples = load_dataset(fh)
     backend = _build_backend(args)
-    predictions, skipped = predict_dataset(backend, examples)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            pred = predictions.get(ex.pair_key)
-            if pred is None:
-                continue
-            fh.write(
-                json.dumps(
-                    {
-                        "seed_id": ex.seed_id,
-                        "similar_id": ex.similar_id,
-                        "tokens": sorted(pred),
-                    }
-                )
-                + "\n"
-            )
+    n_examples, n_predicted = run_explain(args.dataset, backend, args.out)
+    skipped = n_examples - n_predicted
     note = f" ({skipped} uncovered skipped)" if skipped else ""
-    print(f"{backend.name}: predicted {len(predictions)} of {len(examples)} examples{note} -> {args.out}")
+    print(f"{backend.name}: predicted {n_predicted} of {n_examples} examples{note} -> {args.out}")
     return 0
 
 
-def _parse_prediction(record: dict) -> tuple[PairKey, set[str]]:
-    tokens = record["tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
-    return json_pair_key(record), set(tokens)
-
-
-def load_predictions(path: str) -> dict[PairKey, set[str]]:
-    """Read a predictions file; :func:`read_pair_records` rejects a bad or repeated
-    pair at ``path:line``. A record is bad when an id is not a string or
-    ``tokens`` is not a list of strings."""
-    with open(path, encoding="utf-8") as fh:
-        return read_pair_records(fh, "prediction", _parse_prediction, path)
-
-
 def cmd_eval(args) -> int:
-    with open(args.dataset, encoding="utf-8") as fh:
-        examples = load_dataset(fh)
-    strata = None
-    if args.strata == "clicks":
-        strata = stratify_by_clicks(examples)
-    elif args.strata == "similarity":
-        if not args.pair_scores:
-            return _usage_error("--strata similarity requires --pair-scores")
-        with open(args.pair_scores, encoding="utf-8") as fh:
-            scores = load_pair_scores(fh)
-        strata, _ = stratify_by_similarity(examples, scores)
+    if args.strata == "similarity" and not args.pair_scores:
+        raise UsageError("--strata similarity requires --pair-scores")
     granularities = ("token", "title") if args.granularity == "both" else (args.granularity,)
-    rows = []
-    for name, path in args.pred:
-        predictions = load_predictions(path)
-        rows.extend(
-            metrics_rows(name, examples, predictions, granularities, strata, args.micro)
-        )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        write_metrics_csv(rows, fh)
+    rows = run_eval(args.dataset, args.pred, args.out, args.strata, args.pair_scores, granularities, args.micro)
     convention = "micro (pooled counts)" if args.micro else "macro (mean of per-instance rates)"
     print(f"wrote {len(rows)} metric rows [{convention}] -> {args.out}")
     return 0
@@ -443,7 +388,7 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     if args.kind == "cases":
         if not (args.dataset and args.pred):
-            return _usage_error("--kind cases requires --dataset and --pred")
+            raise UsageError("--kind cases requires --dataset and --pred")
         with open(args.dataset, encoding="utf-8") as fh:
             examples = load_dataset(fh)
         model_preds = {name: load_predictions(path) for name, path in args.pred}
@@ -455,12 +400,9 @@ def cmd_report(args) -> int:
                 per_backend[name] = positions_of(ex.similar_title_tokens, tokens)
             blocks.append(render_case(ex, per_backend, fmt=args.format))
         text = "\n".join(blocks)
-        _write_or_print(text, args.out)
-        return 0
-
-    if args.kind == "ab":
+    elif args.kind == "ab":
         if not (args.dataset and args.pred_a and args.pred_b and args.sheet and args.key):
-            return _usage_error("--kind ab requires --dataset, --pred-a, --pred-b, --sheet, --key")
+            raise UsageError("--kind ab requires --dataset, --pred-a, --pred-b, --sheet, --key")
         with open(args.dataset, encoding="utf-8") as fh:
             examples = load_dataset(fh)
         name_a, path_a = args.pred_a
@@ -474,37 +416,31 @@ def cmd_report(args) -> int:
             write_csv(study.key_rows, fh)
         print(f"wrote blinded sheet -> {args.sheet}, key -> {args.key}")
         return 0
-
-    if args.kind == "stats":
+    elif args.kind == "stats":
         if not args.dataset:
-            return _usage_error("--kind stats requires --dataset")
+            raise UsageError("--kind stats requires --dataset")
         with open(args.dataset, encoding="utf-8") as fh:
             examples = load_dataset(fh)
         text = json.dumps(corpus_stats(examples), indent=2, sort_keys=True)
-        _write_or_print(text, args.out)
-        return 0
-
-    if args.kind == "tally":
+    elif args.kind == "tally":
         if not (args.choices and args.key):
-            return _usage_error("--kind tally requires --choices and --key")
+            raise UsageError("--kind tally requires --choices and --key")
         with open(args.choices, encoding="utf-8") as fh:
             choices = read_csv(fh)
         with open(args.key, encoding="utf-8") as fh:
             key_rows = read_csv(fh)
         tallies = tally_preferences(choices, key_rows)
         text = json.dumps(tallies, indent=2, sort_keys=True)
-        _write_or_print(text, args.out)
-        return 0
+    else:
+        raise UsageError(f"unknown report kind {args.kind!r}")
 
-    return _usage_error(f"unknown report kind {args.kind!r}")
-
-
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    # cases, stats and tally go to --out, or to stdout without it
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    return 0
 
 
 def main(argv=None) -> int:

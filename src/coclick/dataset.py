@@ -99,9 +99,6 @@ class PairExample:
     def pair_key(self) -> PairKey:
         return (self.seed_id, self.similar_id)
 
-    def unique_title_tokens(self) -> list[str]:
-        return list(dict.fromkeys(self.similar_title_tokens))
-
 
 @dataclass
 class BuildConfig:

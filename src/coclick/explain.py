@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .base import (
@@ -39,7 +40,11 @@ def load_stopwords(path=None) -> set[str]:
         text = resources.files("coclick").joinpath("data/stopwords.txt").read_text("utf-8")
     else:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                # read() decodes the whole file at once, so no line was read before it.
+                raise DatasetError(f"stopword line {undecodable_line(exc, 0)}: {exc}") from exc
     return {line.strip().lower() for line in text.splitlines() if line.strip()}
 
 
@@ -141,6 +146,21 @@ def load_external_scores(fh: IO[str]) -> dict[PairKey, list[tuple[str, float]]]:
     number.
     """
     return read_pair_records(fh, "external score", _parse_external_scores)
+
+
+def _parse_prediction(record: dict) -> tuple[PairKey, set[str]]:
+    tokens = record["tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
+    return json_pair_key(record), set(tokens)
+
+
+def load_predictions(path: str | Path) -> dict[PairKey, set[str]]:
+    """Read a predictions file; :func:`read_pair_records` rejects a bad or repeated
+    pair at ``path:line``. A record is bad when an id is not a string or
+    ``tokens`` is not a list of strings."""
+    with open(path, encoding="utf-8") as fh:
+        return read_pair_records(fh, "prediction", _parse_prediction, str(path))
 
 
 class Explainer:

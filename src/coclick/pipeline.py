@@ -1,9 +1,9 @@
 """The pipeline stages, one function each, and their end-to-end wiring.
 
-``run_synth``, ``run_ingest``, ``run_build`` and ``run_train`` read and write
-the stage files; the ``coclick`` subcommands call them with paths from
-flags, and ``run_pipeline`` chains them through one work directory and then
-explains and evaluates in process.
+``run_synth``, ``run_ingest``, ``run_build``, ``run_train``, ``run_explain``
+and ``run_eval`` read and write the stage files; the ``coclick`` subcommands
+call them with paths from flags, and ``run_pipeline`` chains them through one
+work directory.
 
 Also defines the default desk-scale benchmark configuration: a calibrated
 synthetic world small enough to run in well under two minutes while keeping
@@ -12,18 +12,24 @@ the click-count labeler's softmax margins wide enough for clean gold sets.
 
 from __future__ import annotations
 
+import json
 import logging
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .base import PairKey
-from .dataset import BuildConfig, build_examples, load_dataset, split_dataset, write_dataset
-from .evaluate import MetricsRow, metrics_rows, stratify_by_clicks, write_metrics_csv
-from .explain import Bm25, Explainer, HighlightAll, Overlapper, predict_dataset
+from .dataset import BuildConfig, build_examples, load_dataset, lower_tokens, split_dataset, write_dataset
+from .evaluate import (
+    MetricsRow,
+    load_pair_scores,
+    metrics_rows,
+    stratify_by_clicks,
+    stratify_by_similarity,
+    write_metrics_csv,
+)
+from .explain import Bm25, Explainer, HighlightAll, Overlapper, load_predictions, predict_dataset
 from .logs import (
-    PairAggregate,
     ParseStats,
     SessionReappeared,
     aggregate_sharded,
@@ -37,7 +43,7 @@ from .logs import (
 from .scoring import compute_idf
 from .synth import SynthConfig, generate_corpus, generate_sessions, write_truth
 from .tagger import TokenTagger
-from .text import word_tokenize
+from .text import word_tokenize  # noqa: F401  (unused here; perfbench/tracing.py wraps this lookup site)
 
 log = logging.getLogger(__name__)
 
@@ -99,18 +105,14 @@ class PipelineResult:
 
 def corpus_documents(articles: dict) -> list[list[str]]:
     """Per-article token documents (title + abstract) used for idf/avgdl."""
-    docs = []
-    for key in sorted(articles):
-        art = articles[key]
-        docs.append([t.lower for t in word_tokenize(art.title)] + [t.lower for t in word_tokenize(art.abstract)])
-    return docs
+    return [
+        lower_tokens(articles[key].title) + lower_tokens(articles[key].abstract) for key in sorted(articles)
+    ]
 
 
 def title_documents(articles: dict) -> list[list[str]]:
     """Per-article title token documents; the default BM25/idf corpus."""
-    return [
-        [t.lower for t in word_tokenize(articles[key].title)] for key in sorted(articles)
-    ]
+    return [lower_tokens(articles[key].title) for key in sorted(articles)]
 
 
 def default_backends(articles: dict, tagger: TokenTagger | None = None) -> list[Explainer]:
@@ -242,6 +244,54 @@ def run_train(
     return len(train), len(dev)
 
 
+def run_explain(dataset_path: str | Path, backend: Explainer, out_path: str | Path) -> tuple[int, int]:
+    """Write ``backend``'s tokens for each example of the dataset to ``out_path``.
+
+    An example the backend does not cover gets no line. Returns the number of
+    examples and of predictions written.
+    """
+    with open(dataset_path, encoding="utf-8") as fh:
+        examples = load_dataset(fh)
+    predictions, _ = predict_dataset(backend, examples)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        # predict_dataset keys its map in dataset order
+        for (seed_id, similar_id), tokens in predictions.items():
+            record = {"seed_id": seed_id, "similar_id": similar_id, "tokens": sorted(tokens)}
+            fh.write(json.dumps(record) + "\n")
+    return len(examples), len(predictions)
+
+
+def run_eval(
+    dataset_path: str | Path,
+    preds: list[tuple[str, str | Path]],
+    out_path: str | Path,
+    strata: str = "none",
+    pair_scores_path: str | Path | None = None,
+    granularities: tuple[str, ...] = ("token", "title"),
+    micro: bool = False,
+) -> list[MetricsRow]:
+    """Score each ``(name, predictions path)`` of ``preds`` against the dataset
+    and write the metrics CSV to ``out_path``; returns its rows.
+
+    ``strata`` is ``"none"``, ``"clicks"`` or ``"similarity"``; similarity
+    quintiles read their scores from ``pair_scores_path``.
+    """
+    with open(dataset_path, encoding="utf-8") as fh:
+        examples = load_dataset(fh)
+    groups = None
+    if strata == "clicks":
+        groups = stratify_by_clicks(examples)
+    elif strata == "similarity":
+        with open(pair_scores_path, encoding="utf-8") as fh:
+            groups, _ = stratify_by_similarity(examples, load_pair_scores(fh))
+    rows = []
+    for name, path in preds:
+        rows.extend(metrics_rows(name, examples, load_predictions(path), granularities, groups, micro))
+    with open(out_path, "w", encoding="utf-8") as fh:
+        write_metrics_csv(rows, fh)
+    return rows
+
+
 def run_pipeline(workdir: str | Path, config: PipelineConfig | None = None) -> PipelineResult:
     """Run every stage into ``workdir`` and return paths plus the metrics table."""
     if config is None:
@@ -279,15 +329,12 @@ def run_pipeline(workdir: str | Path, config: PipelineConfig | None = None) -> P
     # explain + eval on the held-out test split
     with open(paths["articles"], encoding="utf-8") as fh:
         articles = read_metadata(fh)
-    with open(paths["test"], encoding="utf-8") as fh:
-        test = load_dataset(fh)
-    rows: list[MetricsRow] = []
-    strata = stratify_by_clicks(test)
+    preds = []
     for backend in default_backends(articles, tagger):
-        predictions, _ = predict_dataset(backend, test)
-        rows.extend(metrics_rows(backend.name, test, predictions, strata=strata))
-    with open(paths["metrics"], "w", encoding="utf-8") as fh:
-        write_metrics_csv(rows, fh)
+        path = paths[f"pred.{backend.name}"] = workdir / f"pred.{backend.name}.jsonl"
+        run_explain(paths["test"], backend, path)
+        preds.append((backend.name, path))
+    rows = run_eval(paths["test"], preds, paths["metrics"], "clicks")
 
     return PipelineResult(
         workdir=workdir,

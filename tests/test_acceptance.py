@@ -58,7 +58,7 @@ def test_criterion_1_highlight_all_law(benchmark_result):
         elapsed = time.monotonic() - started
         assert metrics.recall * 100 == 100.0  # exact
         expected_precision = math.fsum(
-            len(ex.gold_tokens) / len(ex.unique_title_tokens()) for ex in examples
+            len(ex.gold_tokens) / len(list(dict.fromkeys(ex.similar_title_tokens))) for ex in examples
         ) / len(examples)
         assert abs(metrics.precision - expected_precision) < 1e-9
         assert elapsed < 1.0

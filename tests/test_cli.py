@@ -13,9 +13,10 @@ import pytest
 import coclick
 import coclick.cli
 import coclick.pipeline
+from coclick.base import DatasetError
 from coclick.cli import main
 from coclick.dataset import BuildConfig
-from coclick.pipeline import PipelineConfig, run_pipeline
+from coclick.pipeline import PipelineConfig, run_eval, run_pipeline
 from coclick.synth import SynthConfig
 
 SYNTH_FLAGS = [
@@ -29,6 +30,10 @@ SYNTH_FLAGS = [
     "--clicks-dist", "0.1,0.5,0.4",
     "--seed", "0",
 ]
+
+
+# The backends of ``default_backends`` with a tagger, in ``run_pipeline``'s order.
+BACKENDS = ["all", "overlap", "bm25", "tagger"]
 
 
 def read_rows(path):
@@ -245,7 +250,7 @@ class TestOtherBackends:
         with open(scores, "w", encoding="utf-8") as fh:
             for ex in examples[:-1]:  # leave one uncovered to exercise the skip tally
                 # distinct scores, so top-3 and top-4 differ on every title
-                tokens = ex.unique_title_tokens()
+                tokens = list(dict.fromkeys(ex.similar_title_tokens))
                 entries = [{"token": tok, "score": float(len(tokens) - i)} for i, tok in enumerate(tokens)]
                 fh.write(json.dumps({
                     "seed_id": ex.seed_id, "similar_id": ex.similar_id, "scores": entries,
@@ -354,6 +359,10 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--pred", "m=x.jsonl", "--out", "m.csv"])
         assert exc.value.code == 2
+
+    def test_report_stats_without_dataset_is_usage_error(self, capsys):
+        assert main(["report", "--kind", "stats"]) == 2
+        assert capsys.readouterr().err == "usage error: --kind stats requires --dataset\n"
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -567,6 +576,21 @@ class TestExitCodes:
         assert "line 2" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_undecodable_stopwords_fail_explain_naming_the_line(self, workdir, tmp_path):
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_bytes(b"the\n\xff\n")
+        proc = run_cli(
+            "explain",
+            "--dataset", workdir / "data.test.jsonl",
+            "--backend", "overlap",
+            "--articles", workdir / "articles.tsv",
+            "--stopwords", stopwords,
+            "--out", tmp_path / "p.jsonl",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_backend_without_companion_flag_is_usage_error(self, workdir, tmp_path, capsys):
         code = main([
             "explain", "--dataset", str(workdir / "data.test.jsonl"),
@@ -662,6 +686,14 @@ class TestRecordFileFaults:
         ])
         assert code == 1
         assert f"{preds}:1" in capsys.readouterr().err
+
+    def test_run_eval_rejects_a_repeated_prediction_pair(self, workdir, tmp_path):
+        first = (workdir / "pred.all.jsonl").read_text("utf-8").splitlines()[0]
+        preds = tmp_path / "pred.jsonl"
+        preds.write_text(f"{first}\n{first}\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as exc:
+            run_eval(workdir / "data.test.jsonl", [("m", preds)], tmp_path / "m.csv")
+        assert f"{preds}:2" in str(exc.value)
 
     def test_deeply_nested_checkpoint_fails_explain_without_traceback(self, workdir, tmp_path):
         checkpoint = tmp_path / "tagger.deep.json"
@@ -857,6 +889,19 @@ class TestFrontDoorsAgree:
         }
         for key, name in cli_names.items():
             assert result.paths[key].read_bytes() == (workdir / name).read_bytes(), key
+        for backend in BACKENDS:
+            pred = f"pred.{backend}.jsonl"
+            assert result.paths[f"pred.{backend}"] == tmp_path / pred
+            assert (tmp_path / pred).read_bytes() == (workdir / pred).read_bytes(), backend
+
+    def test_cli_eval_writes_the_run_pipeline_metrics(self, workdir, tmp_path):
+        result = run_pipeline(tmp_path / "pipeline", fixture_config())
+        out = tmp_path / "metrics.csv"
+        assert main(
+            ["eval", "--dataset", str(workdir / "data.test.jsonl"), "--strata", "clicks", "--out", str(out)]
+            + [f"--pred={b}={workdir / f'pred.{b}.jsonl'}" for b in BACKENDS]
+        ) == 0
+        assert out.read_bytes() == result.paths["metrics"].read_bytes()
 
 
 class TestTracerLookupSites:
@@ -917,4 +962,25 @@ class TestTracerLookupSites:
         with tracing.installed(tracer):
             coclick.pipeline.run_pipeline(tmp_path, fixture_config())
         names = {s.name for s in tracer.spans}
-        assert {"synth.generate_sessions", "logs.parse", "dataset.build", "tagger.fit"} <= names
+        assert {
+            "synth.generate_sessions", "logs.parse", "dataset.build", "tagger.fit",
+            "explain.tagger.predict", "evaluate.metrics_rows",
+        } <= names
+
+    def test_cli_explain_and_eval_spans(self, tracing, workdir, tmp_path):
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            assert main([
+                "explain", "--dataset", str(workdir / "data.test.jsonl"),
+                "--backend", "bm25", "--articles", str(workdir / "articles.tsv"),
+                "--out", str(tmp_path / "pred.bm25.jsonl"),
+            ]) == 0
+            assert main([
+                "eval", "--dataset", str(workdir / "data.test.jsonl"),
+                "--pred", f"bm25={tmp_path / 'pred.bm25.jsonl'}",
+                "--out", str(tmp_path / "metrics.csv"),
+            ]) == 0
+        names = [s.name for s in tracer.spans]
+        assert names.count("explain.bm25.predict") == 1
+        assert names.count("evaluate.metrics_rows") == 1
+        assert (tmp_path / "pred.bm25.jsonl").read_bytes() == (workdir / "pred.bm25.jsonl").read_bytes()
