@@ -24,12 +24,9 @@ from .dataset import (
 from .evaluate import (
     EvalMetrics,
     Stratum,
-    aggregate,
     evaluate_predictions,
     stratify_by_clicks,
     stratify_by_similarity,
-    title_metrics,
-    token_metrics,
 )
 from .explain import (
     Bm25,

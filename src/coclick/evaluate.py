@@ -49,49 +49,73 @@ def f1_score(recall: float, precision: float) -> float:
     return 2.0 * recall * precision / (recall + precision)
 
 
-def token_metrics(gold: set[str], pred: set[str]) -> tuple[float, float] | None:
-    """Per-instance (recall, precision) over unique tokens.
+def count_instances(
+    examples: Sequence[PairExample],
+    predictions: dict[PairKey, set[str]],
+    granularity: str = "token",
+) -> list[InstanceCounts | None]:
+    """One overlap count per example, in dataset order, at ``granularity``.
 
-    Empty gold with empty prediction scores (1, 1); empty gold with a
-    non-empty prediction returns None, meaning the instance is excluded.
-    An empty prediction against non-empty gold scores (0, 0).
+    An example without a prediction entry gets None, as does (defensively)
+    one with empty gold and a non-empty prediction; each tally is logged in
+    one warning.
     """
-    return _rates(_counts(gold, pred))
+    if granularity not in ("token", "title"):
+        raise ValueError(f"granularity must be 'token' or 'title', got {granularity!r}")
+    counts: list[InstanceCounts | None] = []
+    skipped_uncovered = 0
+    skipped_empty_gold = 0
+    for ex in examples:
+        pred = predictions.get(ex.pair_key)
+        if pred is None:
+            skipped_uncovered += 1
+            counts.append(None)
+            continue
+        if granularity == "token":
+            gold = set(ex.gold_tokens)
+            pred = set(pred)
+        else:
+            gold = positions_of(ex.similar_title_tokens, ex.gold_tokens)
+            pred = positions_of(ex.similar_title_tokens, pred)
+        if not gold and pred:
+            skipped_empty_gold += 1
+            counts.append(None)
+            continue
+        counts.append(InstanceCounts(tp=len(gold & pred), n_gold=len(gold), n_pred=len(pred)))
+    if skipped_uncovered:
+        log.warning("evaluation skipped %d instances without predictions", skipped_uncovered)
+    if skipped_empty_gold:
+        log.warning(
+            "evaluation excluded %d instances with empty gold and non-empty predictions",
+            skipped_empty_gold,
+        )
+    return counts
 
 
-def title_metrics(
-    title_tokens: Sequence[str], gold: set[str], pred: set[str]
-) -> tuple[float, float] | None:
-    """Per-instance (recall, precision) over the positions of lowercase ``title_tokens``."""
-    gold_pos = positions_of(title_tokens, gold)
-    pred_pos = positions_of(title_tokens, pred)
-    return _rates(_counts(gold_pos, pred_pos))
+def summarize(counts: Iterable[InstanceCounts | None], micro: bool = False) -> EvalMetrics:
+    """Aggregate the non-None entries of ``counts``, macro or pooled-count micro.
 
-
-def _counts(gold: set, pred: set) -> InstanceCounts:
-    return InstanceCounts(tp=len(gold & pred), n_gold=len(gold), n_pred=len(pred))
-
-
-def _rates(c: InstanceCounts) -> tuple[float, float] | None:
-    if c.n_gold == 0:
-        if c.n_pred == 0:
-            return (1.0, 1.0)
-        return None
-    recall = c.tp / c.n_gold
-    precision = c.tp / c.n_pred if c.n_pred > 0 else 0.0
-    return (recall, precision)
-
-
-def aggregate(
-    instance_rates: Sequence[tuple[float, float]], pred_sizes: Sequence[int]
-) -> EvalMetrics:
-    """Macro-average per-instance rates; F1 is taken of the mean rates."""
-    if not instance_rates:
-        raise CoclickError("cannot aggregate an empty instance list")
-    n = len(instance_rates)
-    recall = math.fsum(r for r, _ in instance_rates) / n
-    precision = math.fsum(p for _, p in instance_rates) / n
-    avg_len = math.fsum(pred_sizes) / n if pred_sizes else 0.0
+    Per instance, empty gold (with an empty prediction) scores (1, 1) and an
+    empty prediction against non-empty gold scores (0, 0).
+    """
+    scored = [c for c in counts if c is not None]
+    if not scored:
+        raise CoclickError("no instances left to evaluate")
+    n = len(scored)
+    if micro:
+        tp = sum(c.tp for c in scored)
+        n_gold = sum(c.n_gold for c in scored)
+        n_pred = sum(c.n_pred for c in scored)
+        recall = tp / n_gold if n_gold else 1.0
+        precision = tp / n_pred if n_pred else (1.0 if tp == n_gold == 0 else 0.0)
+    else:
+        rates = [
+            (c.tp / c.n_gold, c.tp / c.n_pred if c.n_pred else 0.0) if c.n_gold else (1.0, 1.0)
+            for c in scored
+        ]
+        recall = math.fsum(r for r, _ in rates) / n
+        precision = math.fsum(p for _, p in rates) / n
+    avg_len = math.fsum(c.n_pred for c in scored) / n
     return EvalMetrics(recall, precision, f1_score(recall, precision), avg_len, n)
 
 
@@ -101,51 +125,8 @@ def evaluate_predictions(
     granularity: str = "token",
     micro: bool = False,
 ) -> EvalMetrics:
-    """Score a prediction map against dataset gold at the given granularity.
-
-    Examples without a prediction entry are skipped with a warning tally, as
-    are (defensively) instances with empty gold and a non-empty prediction.
-    """
-    if granularity not in ("token", "title"):
-        raise ValueError(f"granularity must be 'token' or 'title', got {granularity!r}")
-    counts: list[InstanceCounts] = []
-    skipped_uncovered = 0
-    skipped_empty_gold = 0
-    for ex in examples:
-        pred = predictions.get(ex.pair_key)
-        if pred is None:
-            skipped_uncovered += 1
-            continue
-        if granularity == "token":
-            c = _counts(set(ex.gold_tokens), set(pred))
-        else:
-            c = _counts(
-                positions_of(ex.similar_title_tokens, ex.gold_tokens),
-                positions_of(ex.similar_title_tokens, pred),
-            )
-        if c.n_gold == 0 and c.n_pred > 0:
-            skipped_empty_gold += 1
-            continue
-        counts.append(c)
-    if skipped_uncovered:
-        log.warning("evaluation skipped %d instances without predictions", skipped_uncovered)
-    if skipped_empty_gold:
-        log.warning(
-            "evaluation excluded %d instances with empty gold and non-empty predictions",
-            skipped_empty_gold,
-        )
-    if not counts:
-        raise CoclickError("no instances left to evaluate")
-    if micro:
-        tp = sum(c.tp for c in counts)
-        n_gold = sum(c.n_gold for c in counts)
-        n_pred = sum(c.n_pred for c in counts)
-        recall = tp / n_gold if n_gold else 1.0
-        precision = tp / n_pred if n_pred else (1.0 if tp == n_gold == 0 else 0.0)
-        avg_len = math.fsum(c.n_pred for c in counts) / len(counts)
-        return EvalMetrics(recall, precision, f1_score(recall, precision), avg_len, len(counts))
-    rates = [_rates(c) for c in counts]
-    return aggregate(rates, [c.n_pred for c in counts])
+    """Score a prediction map against dataset gold at the given granularity."""
+    return summarize(count_instances(examples, predictions, granularity), micro)
 
 
 @dataclass
@@ -153,7 +134,6 @@ class Stratum:
     """A named subset of the evaluation set."""
 
     name: str
-    description: str
     pair_keys: list[PairKey]
 
 
@@ -171,10 +151,10 @@ def stratify_by_clicks(examples: Sequence[PairExample]) -> list[Stratum]:
     b1 = math.ceil(n / 3)
     b2 = math.ceil(2 * n / 3)
     return [
-        Stratum("top_0.1pct", "highest 0.1% by combined clicks", [e.pair_key for e in ordered[:top_n]]),
-        Stratum("top_third", "top third by combined clicks", [e.pair_key for e in ordered[:b1]]),
-        Stratum("middle_third", "middle third by combined clicks", [e.pair_key for e in ordered[b1:b2]]),
-        Stratum("bottom_third", "bottom third by combined clicks", [e.pair_key for e in ordered[b2:]]),
+        Stratum("top_0.1pct", [e.pair_key for e in ordered[:top_n]]),
+        Stratum("top_third", [e.pair_key for e in ordered[:b1]]),
+        Stratum("middle_third", [e.pair_key for e in ordered[b1:b2]]),
+        Stratum("bottom_third", [e.pair_key for e in ordered[b2:]]),
     ]
 
 
@@ -201,13 +181,7 @@ def stratify_by_similarity(
     for i in range(5):
         lo = math.ceil(i * n / 5)
         hi = math.ceil((i + 1) * n / 5)
-        strata.append(
-            Stratum(
-                f"similarity_q{i + 1}",
-                f"similarity quintile {i + 1} (1 = most similar)",
-                [key for _, key in scored[lo:hi]],
-            )
-        )
+        strata.append(Stratum(f"similarity_q{i + 1}", [key for _, key in scored[lo:hi]]))
     return strata, excluded
 
 
@@ -242,30 +216,24 @@ def metrics_rows(
     strata: Sequence[Stratum] | None = None,
     micro: bool = False,
 ) -> list[MetricsRow]:
-    """Rows for one model: overall plus any strata, at each granularity."""
-    by_key = {ex.pair_key: ex for ex in examples}
+    """Rows for one model: overall plus any strata, at each granularity.
+
+    Each example is counted once per granularity. A stratum with no dataset
+    member gets no row, nor, with a warning, one with no scored instance.
+    """
+    index = {ex.pair_key: i for i, ex in enumerate(examples)}
     rows = []
     for granularity in granularities:
-        rows.append(
-            MetricsRow(
-                model,
-                granularity,
-                "all",
-                evaluate_predictions(examples, predictions, granularity, micro),
-            )
-        )
+        counts = count_instances(examples, predictions, granularity)
+        rows.append(MetricsRow(model, granularity, "all", summarize(counts, micro)))
         for stratum in strata or []:
-            members = [by_key[k] for k in stratum.pair_keys if k in by_key]
-            if not members:
-                continue
-            rows.append(
-                MetricsRow(
-                    model,
-                    granularity,
-                    stratum.name,
-                    evaluate_predictions(members, predictions, granularity, micro),
+            members = [counts[index[k]] for k in stratum.pair_keys if k in index]
+            if any(c is not None for c in members):
+                rows.append(MetricsRow(model, granularity, stratum.name, summarize(members, micro)))
+            elif members:
+                log.warning(
+                    "no %s %s row for stratum %s: it has no scored instance", model, granularity, stratum.name
                 )
-            )
     return rows
 
 

@@ -19,6 +19,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .base import ConfigError
 from .dataset import BuildConfig, build_examples, load_dataset, lower_tokens, split_dataset, write_dataset
 from .evaluate import (
     MetricsRow,
@@ -276,6 +277,10 @@ def run_eval(
     ``strata`` is ``"none"``, ``"clicks"`` or ``"similarity"``; similarity
     quintiles read their scores from ``pair_scores_path``.
     """
+    if strata not in ("none", "clicks", "similarity"):
+        raise ConfigError(f"strata must be 'none', 'clicks' or 'similarity', got {strata!r}")
+    if strata == "similarity" and pair_scores_path is None:
+        raise ConfigError("similarity strata require pair_scores_path")
     with open(dataset_path, encoding="utf-8") as fh:
         examples = load_dataset(fh)
     groups = None

@@ -22,7 +22,13 @@ from coclick.dataset import (
     lower_tokens,
     write_dataset,
 )
-from coclick.evaluate import aggregate, evaluate_predictions, stratify_by_clicks, stratify_by_similarity, title_metrics, token_metrics
+from coclick.evaluate import (
+    count_instances,
+    evaluate_predictions,
+    stratify_by_clicks,
+    stratify_by_similarity,
+    summarize,
+)
 from coclick.explain import Bm25, HighlightAll, predict_dataset
 from coclick.logs import Article, aggregate_sharded, parse_log
 from coclick.pipeline import benchmark_config, run_pipeline
@@ -31,6 +37,7 @@ from coclick.tagger import TokenTagger, loss_and_grad
 
 from oracle_builder import oracle_build
 from test_dataset import synthetic_log_and_articles
+from test_evaluate import random_counts
 from test_tagger import ablation_examples, make_example, separable_examples
 
 
@@ -191,15 +198,16 @@ def test_criterion_8_metric_identities():
     with criterion(8, "metric identities"):
         rng = random.Random(888)
         vocab = [f"w{i}" for i in range(40)]
-        for _ in range(1000):
+        examples, predictions = [], {}
+        for i in range(1000):
             words = rng.sample(vocab, rng.randint(1, 12))  # no duplicates
-            tokens = lower_tokens(" ".join(words))
             gold = {w for w in words if rng.random() < 0.35}
-            pred = {w for w in words if rng.random() < 0.35}
-            assert title_metrics(tokens, gold, pred) == token_metrics(gold, pred)
+            examples.append(make_example("seed", " ".join(words), gold=gold, pair=(f"S{i}", "T")))
+            predictions[examples[-1].pair_key] = {w for w in words if rng.random() < 0.35}
+        assert count_instances(examples, predictions, "title") == count_instances(examples, predictions, "token")
 
-        rates = [(rng.random(), rng.random()) for _ in range(300)]
-        metrics = aggregate(rates, [1] * 300)
+        counts = random_counts(rng, 300)
+        metrics = summarize(counts)
         if metrics.recall + metrics.precision > 0:
             harmonic = 2 * metrics.recall * metrics.precision / (metrics.recall + metrics.precision)
             assert abs(metrics.f1 - harmonic) < 1e-12
@@ -207,7 +215,7 @@ def test_criterion_8_metric_identities():
         order = list(range(300))
         for _ in range(5):
             rng.shuffle(order)
-            shuffled = aggregate([rates[i] for i in order], [1] * 300)
+            shuffled = summarize([counts[i] for i in order])
             assert shuffled == metrics
 
 

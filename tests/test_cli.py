@@ -13,11 +13,12 @@ import pytest
 import coclick
 import coclick.cli
 import coclick.pipeline
-from coclick.base import DatasetError
+from coclick.base import ConfigError, DatasetError
 from coclick.cli import main
-from coclick.dataset import BuildConfig
+from coclick.dataset import BuildConfig, write_dataset
 from coclick.pipeline import PipelineConfig, run_eval, run_pipeline
 from coclick.synth import SynthConfig
+from test_evaluate import make_example
 
 SYNTH_FLAGS = [
     "--n-articles", "40",
@@ -352,6 +353,32 @@ class TestEvalVariants:
         ]) == 0
         rows = read_rows(out)
         assert rows[0]["granularity"] == "token"
+
+    def test_uncovered_top_click_pair_drops_only_its_stratum(self, tmp_path):
+        # An uncovered top-click pair used to make the click strata abort the whole eval.
+        dataset, preds, out = tmp_path / "d.jsonl", tmp_path / "p.jsonl", tmp_path / "m.csv"
+        examples = [make_example(clicks=30 + i, pair=(f"S{i}", "T")) for i in range(9)]
+        with open(dataset, "w", encoding="utf-8") as fh:
+            write_dataset(examples, fh)
+        preds.write_text("".join(
+            json.dumps({"seed_id": ex.seed_id, "similar_id": ex.similar_id, "tokens": ["alpha"]}) + "\n"
+            for ex in examples[:-1]
+        ), encoding="utf-8")
+        assert main(["eval", "--dataset", str(dataset), "--pred", f"m={preds}", "--strata", "clicks",
+                     "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 8
+        assert {r["stratum"] for r in rows} == {"all", "top_third", "middle_third", "bottom_third"}
+
+    @pytest.mark.parametrize(
+        "strata, pair_scores",
+        [("similarity", None), ("click", None), ("quintiles", "scores.jsonl")],
+    )
+    def test_run_eval_rejects_bad_strata_before_reading(self, tmp_path, strata, pair_scores):
+        with pytest.raises(ConfigError, match="strat"):
+            run_eval(tmp_path / "missing.jsonl", [("m", tmp_path / "missing.pred")], tmp_path / "m.csv",
+                     strata, pair_scores)
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestExitCodes:

@@ -1,22 +1,25 @@
 """Metric definitions, aggregation, and stratification tests."""
 
 import io
+import logging
 import random
 
 import pytest
 
+import coclick.evaluate
+import oracle_evaluate
 from coclick.base import CoclickError, DatasetError
 from coclick.dataset import PairExample, TokenClickCounts, lower_tokens
 from coclick.evaluate import (
-    aggregate,
+    InstanceCounts,
+    count_instances,
     evaluate_predictions,
     f1_score,
     load_pair_scores,
     metrics_rows,
     stratify_by_clicks,
     stratify_by_similarity,
-    title_metrics,
-    token_metrics,
+    summarize,
     write_metrics_csv,
 )
 
@@ -35,87 +38,119 @@ def make_example(similar_title="alpha beta gamma", gold=("alpha",), clicks=30, p
     )
 
 
+def instance_rates(gold, pred, title="a b c d e", granularity="token"):
+    """(recall, precision) of one example, or None when it is excluded."""
+    ex = make_example(title, gold=gold)
+    (counts,) = count_instances([ex], {ex.pair_key: set(pred)}, granularity)
+    if counts is None:
+        return None
+    m = summarize([counts])
+    return (m.recall, m.precision)
+
+
+def random_counts(rng, n):
+    """``n`` counts as ``count_instances`` makes them: empty gold only with an empty prediction."""
+    counts = []
+    for _ in range(n):
+        n_gold = rng.randint(0, 9)
+        n_pred = rng.randint(0, 9) if n_gold else 0
+        counts.append(InstanceCounts(rng.randint(0, min(n_gold, n_pred)), n_gold, n_pred))
+    return counts
+
+
 class TestTokenMetrics:
     def test_set_arithmetic(self):
-        r, p = token_metrics({"a", "b", "c"}, {"b", "c", "d"})
+        ex = make_example("a b c d", gold=("a", "b", "c"))
+        assert count_instances([ex], {ex.pair_key: {"b", "c", "d"}}) == [InstanceCounts(2, 3, 3)]
+        r, p = instance_rates({"a", "b", "c"}, {"b", "c", "d"})
         assert r == pytest.approx(2 / 3)
         assert p == pytest.approx(2 / 3)
         assert f1_score(r, p) == pytest.approx(2 / 3)
 
     def test_predicting_all_title_tokens_gives_full_recall(self):
         title = {"a", "b", "c", "d", "e"}
-        r, _ = token_metrics({"a", "c"}, title)
+        r, _ = instance_rates({"a", "c"}, title)
         assert r == 1.0
 
     def test_exact_prediction(self):
-        assert token_metrics({"x"}, {"x"}) == (1.0, 1.0)
+        assert instance_rates({"x"}, {"x"}) == (1.0, 1.0)
 
     def test_empty_pred_nonempty_gold(self):
-        assert token_metrics({"x"}, set()) == (0.0, 0.0)
+        assert instance_rates({"x"}, set()) == (0.0, 0.0)
 
     def test_empty_gold_empty_pred(self):
-        assert token_metrics(set(), set()) == (1.0, 1.0)
+        assert instance_rates(set(), set()) == (1.0, 1.0)
 
     def test_empty_gold_nonempty_pred_excluded(self):
-        assert token_metrics(set(), {"x"}) is None
+        assert instance_rates(set(), {"x"}) is None
+
+    def test_one_entry_per_example_in_dataset_order(self):
+        examples = [make_example(pair=(f"S{i}", "T")) for i in range(4)]
+        preds = {examples[1].pair_key: {"alpha"}, examples[3].pair_key: {"beta"}}
+        assert count_instances(examples, preds) == [
+            None, InstanceCounts(1, 1, 1), None, InstanceCounts(0, 1, 1),
+        ]
 
 
 class TestTitleMetrics:
     def test_duplicate_positions_counted(self):
-        tokens = lower_tokens("dose response dose curve")
-        r, p = title_metrics(tokens, {"dose", "curve"}, {"dose"})
+        r, p = instance_rates({"dose", "curve"}, {"dose"}, "dose response dose curve", "title")
         assert r == pytest.approx(2 / 3)
         assert p == 1.0
 
     def test_equal_to_token_metrics_without_duplicates(self):
         rng = random.Random(19)
         vocab = [f"w{i}" for i in range(30)]
-        for _ in range(300):
+        examples, preds = [], {}
+        for i in range(300):
             words = rng.sample(vocab, rng.randint(1, 10))
-            tokens = lower_tokens(" ".join(words))
             gold = {w for w in words if rng.random() < 0.4}
-            pred = {w for w in words if rng.random() < 0.4}
-            assert title_metrics(tokens, gold, pred) == token_metrics(gold, pred)
+            ex = make_example(" ".join(words), gold=gold, pair=(f"S{i}", "T"))
+            examples.append(ex)
+            preds[ex.pair_key] = {w for w in words if rng.random() < 0.4}
+        token = count_instances(examples, preds, "token")
+        assert count_instances(examples, preds, "title") == token
+        assert None in token  # empty gold with a prediction is excluded at both granularities
+        assert summarize(count_instances(examples, preds, "title")) == summarize(token)
 
     def test_pred_token_absent_contributes_nothing(self):
-        tokens = lower_tokens("a b c")
-        r, p = title_metrics(tokens, {"a"}, {"a", "zzz"})
-        assert (r, p) == (1.0, 1.0)
+        assert instance_rates({"a"}, {"a", "zzz"}, "a b c", "title") == (1.0, 1.0)
 
 
 class TestAggregate:
     def test_mean_of_two(self):
-        m = aggregate([(1.0, 1.0), (0.0, 0.0)], [2, 0])
+        m = summarize([InstanceCounts(2, 2, 2), InstanceCounts(0, 1, 0)])
         assert (m.recall, m.precision) == (0.5, 0.5)
         assert m.avg_pred_len == 1.0
 
     def test_single_instance_identity(self):
-        m = aggregate([(0.25, 0.75)], [3])
+        m = summarize([InstanceCounts(3, 12, 4)])
         assert (m.recall, m.precision, m.n_instances) == (0.25, 0.75, 1)
+
+    def test_none_entries_skipped(self):
+        counts = random_counts(random.Random(41), 50)
+        assert summarize([None, *counts[:25], None, *counts[25:]]) == summarize(counts)
 
     def test_permutation_invariant(self):
         rng = random.Random(43)
-        rates = [(rng.random(), rng.random()) for _ in range(500)]
-        sizes = [rng.randint(0, 9) for _ in range(500)]
-        base = aggregate(rates, sizes)
-        for _ in range(5):
-            order = list(range(500))
-            rng.shuffle(order)
-            m = aggregate([rates[i] for i in order], [sizes[i] for i in order])
-            assert m == base
+        counts = random_counts(rng, 500)
+        for micro in (False, True):
+            base = summarize(counts, micro)
+            for _ in range(5):
+                assert summarize(rng.sample(counts, len(counts)), micro) == base
 
     def test_f1_is_harmonic_mean_of_reported_rates(self):
         rng = random.Random(47)
         for _ in range(200):
-            rates = [(rng.random(), rng.random()) for _ in range(rng.randint(1, 40))]
-            m = aggregate(rates, [1] * len(rates))
+            m = summarize(random_counts(rng, rng.randint(1, 40)), rng.random() < 0.5)
             if m.recall + m.precision > 0:
                 expected = 2 * m.recall * m.precision / (m.recall + m.precision)
                 assert abs(m.f1 - expected) < 1e-12
 
     def test_empty_list_is_error(self):
-        with pytest.raises(CoclickError):
-            aggregate([], [])
+        for counts in ([], [None, None]):
+            with pytest.raises(CoclickError):
+                summarize(counts)
 
 
 class TestEvaluatePredictions:
@@ -270,6 +305,29 @@ class TestMetricsReport:
         assert len(lines) == 1 + 2 * 5
         assert lines[1].startswith("demo,token,all,100.00,")
 
+    def test_each_instance_counted_once_per_granularity(self, monkeypatch):
+        calls = []
+        real = coclick.evaluate.count_instances
+        monkeypatch.setattr(
+            coclick.evaluate, "count_instances", lambda *args: calls.append(args[2]) or real(*args)
+        )
+        examples = [make_example(pair=(f"S{i}", "T"), clicks=10 + i) for i in range(6)]
+        preds = {e.pair_key: {"alpha"} for e in examples}
+        rows = metrics_rows("demo", examples, preds, strata=stratify_by_clicks(examples))
+        assert len(rows) == 10 and calls == ["token", "title"]
+
+    def test_stratum_without_scored_instance_gets_no_row(self, caplog):
+        examples = [make_example(pair=(f"S{i}", "T"), clicks=30 + i) for i in range(9)]
+        preds = {e.pair_key: {"alpha"} for e in examples[:-1]}  # the top-click pair is uncovered
+        with caplog.at_level(logging.WARNING, logger="coclick"):
+            rows = metrics_rows("demo", examples, preds, strata=stratify_by_clicks(examples))
+        grains, strata = ("token", "title"), ("all", "top_third", "middle_third", "bottom_third")
+        assert [(r.granularity, r.stratum) for r in rows] == [(g, s) for g in grains for s in strata]
+        named = [r.getMessage() for r in caplog.records if "top_0.1pct" in r.getMessage()]
+        assert named == [f"no demo {g} row for stratum top_0.1pct: it has no scored instance" for g in grains]
+        with pytest.raises(CoclickError):
+            metrics_rows("demo", examples, {}, strata=stratify_by_clicks(examples))
+
 
 class TestEvaluateEdges:
     def test_no_covered_instances_is_error(self):
@@ -280,3 +338,76 @@ class TestEvaluateEdges:
     def test_bad_granularity_rejected(self):
         with pytest.raises(ValueError):
             evaluate_predictions([make_example()], {}, "paragraph")
+
+
+def fuzz_case(rng):
+    """A small dataset with repeated title tokens, predicted tokens outside
+    the title, uncovered pairs, empty-gold pairs and partial pair scores."""
+    vocab = [f"w{i}" for i in range(10)]
+    examples, predictions, scores = [], {}, {}
+    for i in range(rng.randint(1, 30)):
+        words = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+        unique = sorted(set(words))
+        gold = set() if rng.random() < 0.15 else {w for w in unique if rng.random() < 0.4}
+        clicks = rng.randint(20, 40)
+        ex = make_example(" ".join(words), gold=gold, clicks=clicks, pair=(f"S{i:02d}", "T"))
+        examples.append(ex)
+        if rng.random() < 0.2:
+            continue
+        pred = {w for w in unique if rng.random() < 0.4}
+        if rng.random() < 0.3:
+            pred.add(f"x{rng.randint(0, 2)}")
+        predictions[ex.pair_key] = pred
+        if rng.random() < 0.8:
+            scores[ex.pair_key] = rng.choice([rng.random(), 0.5, float("nan")])
+    return examples, predictions, scores
+
+
+def rows_or_none(metrics_rows_fn, *args):
+    try:
+        return metrics_rows_fn("m", *args)
+    except CoclickError:
+        return None
+
+
+def reference_rows_without_unscored_strata(examples, predictions, granularities, strata, micro):
+    """The reference's rows with each stratum scored on its own, leaving out
+    a stratum it raises on; None when the ``all`` row has no scored instance."""
+    reference = oracle_evaluate.metrics_rows
+    rows = []
+    for g in granularities:
+        overall = rows_or_none(reference, examples, predictions, [g], None, micro)
+        if overall is None:
+            return None
+        rows += overall
+        for stratum in strata or []:
+            both = rows_or_none(reference, examples, predictions, [g], [stratum], micro)
+            rows += (both or overall)[1:]
+    return rows
+
+
+class TestOracleFuzz:
+    def test_metrics_rows_match_the_reference(self):
+        """Every row equals the per-stratum re-scoring of ``oracle_evaluate``.
+
+        Where the reference raises because a stratum has no scored instance,
+        the rows equal its rows for the other strata.
+        """
+        rng = random.Random(2024)
+        exact = skipped = 0
+        for _ in range(300):
+            examples, predictions, scores = fuzz_case(rng)
+            similarity, _ = stratify_by_similarity(examples, scores)
+            for strata in (None, stratify_by_clicks(examples), similarity):
+                for granularities in (("token",), ("title",), ("token", "title")):
+                    for micro in (False, True):
+                        args = (examples, predictions, granularities, strata, micro)
+                        got = rows_or_none(metrics_rows, *args)
+                        want = rows_or_none(oracle_evaluate.metrics_rows, *args)
+                        if want is not None:
+                            exact += 1
+                        else:
+                            want = reference_rows_without_unscored_strata(*args)
+                            skipped += want is not None
+                        assert got == want
+        assert exact > 1000 and skipped > 50
