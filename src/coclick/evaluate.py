@@ -53,12 +53,14 @@ def count_instances(
     examples: Sequence[PairExample],
     predictions: dict[PairKey, set[str]],
     granularity: str = "token",
+    skips: list[tuple[int, int]] | None = None,
 ) -> list[InstanceCounts | None]:
     """One overlap count per example, in dataset order, at ``granularity``.
 
     An example without a prediction entry gets None, as does (defensively)
-    one with empty gold and a non-empty prediction; each tally is logged in
-    one warning.
+    one with empty gold and a non-empty prediction. The two tallies are
+    appended to ``skips`` when it is given, else each is logged in one
+    warning.
     """
     if granularity not in ("token", "title"):
         raise ValueError(f"granularity must be 'token' or 'title', got {granularity!r}")
@@ -82,14 +84,21 @@ def count_instances(
             counts.append(None)
             continue
         counts.append(InstanceCounts(tp=len(gold & pred), n_gold=len(gold), n_pred=len(pred)))
-    if skipped_uncovered:
-        log.warning("evaluation skipped %d instances without predictions", skipped_uncovered)
-    if skipped_empty_gold:
-        log.warning(
-            "evaluation excluded %d instances with empty gold and non-empty predictions",
-            skipped_empty_gold,
-        )
+    if skips is None:
+        _warn_skips([(skipped_uncovered, skipped_empty_gold)])
+    else:
+        skips.append((skipped_uncovered, skipped_empty_gold))
     return counts
+
+
+def _warn_skips(skips: Sequence[tuple[int, int]]) -> None:
+    """One warning per distinct nonzero tally of :func:`count_instances` calls."""
+    for uncovered in dict.fromkeys(u for u, _ in skips if u):
+        log.warning("evaluation skipped %d instances without predictions", uncovered)
+    for empty_gold in dict.fromkeys(e for _, e in skips if e):
+        log.warning(
+            "evaluation excluded %d instances with empty gold and non-empty predictions", empty_gold
+        )
 
 
 def summarize(counts: Iterable[InstanceCounts | None], micro: bool = False) -> EvalMetrics:
@@ -218,13 +227,16 @@ def metrics_rows(
 ) -> list[MetricsRow]:
     """Rows for one model: overall plus any strata, at each granularity.
 
-    Each example is counted once per granularity. A stratum with no dataset
-    member gets no row, nor, with a warning, one with no scored instance.
+    Each example is counted once per granularity, and each skip tally is
+    logged once. A stratum with no dataset member gets no row, nor, with a
+    warning, one with no scored instance.
     """
     index = {ex.pair_key: i for i, ex in enumerate(examples)}
+    skips: list[tuple[int, int]] = []
+    counted = [(g, count_instances(examples, predictions, g, skips)) for g in granularities]
+    _warn_skips(skips)
     rows = []
-    for granularity in granularities:
-        counts = count_instances(examples, predictions, granularity)
+    for granularity, counts in counted:
         rows.append(MetricsRow(model, granularity, "all", summarize(counts, micro)))
         for stratum in strata or []:
             members = [counts[index[k]] for k in stratum.pair_keys if k in index]

@@ -33,6 +33,10 @@ from .scoring import IdfTable, compute_idf, cosine, threshold_cap_select
 
 log = logging.getLogger(__name__)
 
+# Examples per predict_block call in predict_dataset: bounds the stacked
+# matrix a batched backend builds at once.
+_PREDICT_BLOCK = 512
+
 
 def load_stopwords(path=None) -> set[str]:
     """Load the stopword list; defaults to the 120-word list shipped with the package."""
@@ -175,6 +179,11 @@ class Explainer:
     def predict_tokens(self, example: PairExample) -> set[str] | None:
         """Unique lowercase tokens to highlight; None when the example is not covered."""
         raise NotImplementedError
+
+    def predict_block(self, examples: Sequence[PairExample]) -> list[set[str] | None]:
+        """``predict_tokens`` of each example, in order; overridden by backends
+        that predict many examples at once more cheaply."""
+        return [self.predict_tokens(ex) for ex in examples]
 
 
 class HighlightAll(Explainer):
@@ -355,15 +364,17 @@ class ExternalScores(ScoredExplainer):
 def predict_dataset(
     explainer: Explainer, examples: Sequence[PairExample]
 ) -> tuple[dict[PairKey, set[str]], int]:
-    """Run a backend over a dataset; returns predictions keyed by pair + skip tally."""
+    """Run a backend over a dataset; returns predictions keyed by pair, in dataset
+    order, and the skip tally. The backend predicts blocks of examples."""
     predictions: dict[PairKey, set[str]] = {}
     skipped = 0
-    for ex in examples:
-        tokens = explainer.predict_tokens(ex)
-        if tokens is None:
-            skipped += 1
-            continue
-        predictions[ex.pair_key] = tokens
+    for start in range(0, len(examples), _PREDICT_BLOCK):
+        block = examples[start : start + _PREDICT_BLOCK]
+        for ex, tokens in zip(block, explainer.predict_block(block)):
+            if tokens is None:
+                skipped += 1
+                continue
+            predictions[ex.pair_key] = tokens
     if skipped:
         log.warning("%s: skipped %d uncovered examples", explainer.name, skipped)
     return predictions, skipped

@@ -10,6 +10,11 @@ Training is Adam with linear warmup into a cosine decay, batched over
 examples, with the loss computed over similar-title tokens only; the
 seed-side tokens are structurally label-0 and carry no per-token signal a
 linear model could use. The best checkpoint by dev token-level F1 wins.
+
+Each split is featurized once into one matrix with row bounds per example.
+A batch takes its examples' rows by index, so it holds the same bytes as
+their matrices laid end to end, and the training log does not depend on
+how the features are stored.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ FEATURES_MERGED = (
 
 CHECKPOINT_VERSION = 2
 
+# Examples per block when stack_features fills a split's matrix, so that its
+# temporaries stay small next to the matrix and do not raise a fit's peak memory.
+_FEATURE_BLOCK = 512
+
 # Constructor arguments a checkpoint stores and restores; ``warmup_steps`` is
 # saved resolved, so a loaded tagger does not depend on the default rule.
 HYPERPARAMETERS = (
@@ -78,35 +87,66 @@ def extract_features(
     right first, then the seed title; the similar title is never cut, and an
     example whose similar title alone cannot fit is rejected.
     """
-    budget = max_len - 2 - len(example.similar_title_tokens)
-    if budget < 0:
-        raise DatasetError(
-            f"similar title of pair ({example.seed_id}, {example.similar_id}) has "
-            f"{len(example.similar_title_tokens)} tokens and cannot fit max_len={max_len}"
-        )
-    seed_title = example.seed_title_tokens[:budget]
-    budget -= len(seed_title)
-    title_set = set(seed_title)
-    abstract_set = set(example.seed_abstract_tokens[:budget])
+    return stack_features([example], idf, stopwords, merge_seed_features, max_len)[0]
 
-    n = len(example.similar_title_tokens)
-    rows = []
-    for i, word in enumerate(example.similar_title_tokens):
-        in_title = 1.0 if word in title_set else 0.0
-        in_abstract = 1.0 if word in abstract_set else 0.0
-        rel_pos = i / max(1, n - 1)
-        common = [
-            idf.idf(word),
-            rel_pos,
-            float(len(word)),
-            1.0 if word in stopwords else 0.0,
-            1.0,
-        ]
+
+def stack_features(
+    examples: Sequence[PairExample],
+    idf: IdfTable,
+    stopwords: set[str],
+    merge_seed_features: bool = False,
+    max_len: int = 512,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`extract_features` rows of every example, stacked in order.
+
+    Returns the matrix and ``len(examples) + 1`` row bounds: example ``i``
+    owns rows ``bounds[i]:bounds[i + 1]``. Each distinct token's idf is
+    looked up once.
+    """
+    bounds = np.zeros(len(examples) + 1, dtype=np.intp)
+    bounds[1:] = np.cumsum([len(ex.similar_title_tokens) for ex in examples], dtype=np.intp)
+    x = np.empty((bounds[-1], len(feature_names(merge_seed_features))), dtype=np.float64)
+    x[:, -1] = 1.0
+    col = 1 if merge_seed_features else 2  # the idf column
+    # idf, length and stopword flag of each distinct token
+    per_word: dict[str, tuple[float, float, float]] = {}
+    for first in range(0, len(examples), _FEATURE_BLOCK):
+        block = examples[first : first + _FEATURE_BLOCK]
+        tokens: list[str] = []
+        in_title: list[bool] = []
+        in_abstract: list[bool] = []
+        for ex in block:
+            title = ex.similar_title_tokens
+            budget = max_len - 2 - len(title)
+            if budget < 0:
+                raise DatasetError(
+                    f"similar title of pair ({ex.seed_id}, {ex.similar_id}) has "
+                    f"{len(title)} tokens and cannot fit max_len={max_len}"
+                )
+            seed_title = ex.seed_title_tokens[:budget]
+            title_set = set(seed_title)
+            abstract_set = set(ex.seed_abstract_tokens[: budget - len(seed_title)])
+            tokens += title
+            in_title += [word in title_set for word in title]
+            in_abstract += [word in abstract_set for word in title]
+        for word in tokens:
+            if word not in per_word:
+                per_word[word] = (idf.idf(word), float(len(word)), 1.0 if word in stopwords else 0.0)
+        word_columns = np.array([per_word[word] for word in tokens], dtype=np.float64).reshape(-1, 3)
+        block_bounds = bounds[first : first + len(block) + 1]
+        lengths = np.diff(block_bounds)
+        position = np.arange(len(tokens)) - np.repeat(block_bounds[:-1] - block_bounds[0], lengths)
+
+        rows = x[block_bounds[0] : block_bounds[-1]]
         if merge_seed_features:
-            rows.append([max(in_title, in_abstract), *common])
+            rows[:, 0] = np.logical_or(in_title, in_abstract)
         else:
-            rows.append([in_title, in_abstract, *common])
-    return np.array(rows, dtype=np.float64).reshape(n, len(feature_names(merge_seed_features)))
+            rows[:, 0] = in_title
+            rows[:, 1] = in_abstract
+        rows[:, col] = word_columns[:, 0]
+        rows[:, col + 1] = position / np.repeat(np.maximum(1, lengths - 1), lengths)
+        rows[:, col + 2 : col + 4] = word_columns[:, 1:]
+    return x, bounds
 
 
 def feature_names(merge_seed_features: bool = False) -> tuple[str, ...]:
@@ -115,9 +155,13 @@ def feature_names(merge_seed_features: bool = False) -> tuple[str, ...]:
 
 def title_labels(example: PairExample) -> np.ndarray:
     """Per-position gold labels for the similar title."""
+    return stack_labels([example])
+
+
+def stack_labels(examples: Sequence[PairExample]) -> np.ndarray:
+    """The :func:`title_labels` of every example, stacked in order."""
     return np.array(
-        [1.0 if t in example.gold_tokens else 0.0 for t in example.similar_title_tokens],
-        dtype=np.float64,
+        [t in ex.gold_tokens for ex in examples for t in ex.similar_title_tokens], dtype=np.float64
     )
 
 
@@ -141,6 +185,14 @@ def loss_and_grad(
     loss = float(np.mean(np.logaddexp(0.0, z) - labels * z))
     grad = features.T @ (forward(weights, features) - labels) / len(labels)
     return loss, grad
+
+
+def _rows_of(bounds: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """The stacked rows of the examples in ``batch``, example by example."""
+    starts = bounds[batch]
+    lengths = bounds[batch + 1] - starts
+    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return offsets + np.arange(len(offsets))
 
 
 def lr_at(step: int, peak_lr: float, warmup_steps: int, total_steps: int) -> float:
@@ -220,8 +272,10 @@ class TokenTagger(Explainer):
             idf = compute_idf(docs[key] for key in sorted(docs))
         return idf, stopwords
 
-    def _features(self, example: PairExample, idf: IdfTable, stopwords: set[str]) -> np.ndarray:
-        return extract_features(example, idf, stopwords, self.merge_seed_features, self.max_len)
+    def _stack(
+        self, examples: Sequence[PairExample], idf: IdfTable, stopwords: set[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return stack_features(examples, idf, stopwords, self.merge_seed_features, self.max_len)
 
     def fit(
         self,
@@ -236,11 +290,10 @@ class TokenTagger(Explainer):
         self.stopwords_ = stopwords
         self.feature_names_ = feature_names(self.merge_seed_features)
 
-        feats = [self._features(ex, idf, stopwords) for ex in train_examples]
-        labels = [title_labels(ex) for ex in train_examples]
-        dev_feats = None
+        train_x, train_bounds = self._stack(train_examples, idf, stopwords)
+        train_y = stack_labels(train_examples)
         if dev_examples:
-            dev_feats = [self._features(ex, idf, stopwords) for ex in dev_examples]
+            dev_x, dev_bounds = self._stack(dev_examples, idf, stopwords)
 
         dim = len(self.feature_names_)
         weights = np.zeros(dim)
@@ -256,19 +309,19 @@ class TokenTagger(Explainer):
         best_f1 = -1.0
         best_weights = weights.copy()
         best_step = 0
-        order: list[int] = []
+        order = np.empty(0, dtype=np.intp)
         cursor = 0
         loss_sum = 0.0
         loss_count = 0
 
         for step in range(self.total_steps):
             if cursor + self.batch_size > len(order):
-                order = list(rng.permutation(len(train_examples)))
+                order = rng.permutation(len(train_examples))
                 cursor = 0
-            batch_idx = order[cursor : cursor + self.batch_size]
+            rows = _rows_of(train_bounds, order[cursor : cursor + self.batch_size])
             cursor += self.batch_size
-            batch_x = np.concatenate([feats[i] for i in batch_idx], axis=0)
-            batch_y = np.concatenate([labels[i] for i in batch_idx], axis=0)
+            batch_x = train_x[rows]
+            batch_y = train_y[rows]
 
             loss, grad = loss_and_grad(weights, batch_x, batch_y)
             if not math.isfinite(loss):
@@ -290,7 +343,7 @@ class TokenTagger(Explainer):
                 loss_count = 0
                 dev_f1 = float("nan")
                 if dev_examples:
-                    dev_f1 = self._dev_f1(weights, dev_examples, dev_feats)
+                    dev_f1 = self._dev_f1(weights, dev_examples, dev_x, dev_bounds)
                     if dev_f1 > best_f1:
                         best_f1 = dev_f1
                         best_weights = weights.copy()
@@ -311,30 +364,43 @@ class TokenTagger(Explainer):
         self,
         weights: np.ndarray,
         dev_examples: Sequence[PairExample],
-        dev_feats: list[np.ndarray],
+        dev_x: np.ndarray,
+        dev_bounds: np.ndarray,
     ) -> float:
-        preds = {}
-        for ex, x in zip(dev_examples, dev_feats):
-            probs = forward(weights, x)
-            preds[ex.pair_key] = self._tokens_from_probs(ex, probs)
-        metrics = evaluate_predictions(dev_examples, preds, granularity="token")
-        return metrics.f1
+        tokens = self._tokens_from_probs(dev_examples, forward(weights, dev_x), dev_bounds)
+        preds = {ex.pair_key: toks for ex, toks in zip(dev_examples, tokens)}
+        return evaluate_predictions(dev_examples, preds, granularity="token").f1
 
-    def _tokens_from_probs(self, example: PairExample, probs: np.ndarray) -> set[str]:
+    def _tokens_from_probs(
+        self, examples: Sequence[PairExample], probs: np.ndarray, bounds: np.ndarray
+    ) -> list[set[str]]:
+        """Each example's tokens scored at or above the threshold, from stacked probabilities."""
         threshold = self.decision_threshold
-        return {tok for tok, p in zip(example.similar_title_tokens, probs) if p >= threshold}
+        probs, bounds = probs.tolist(), bounds.tolist()
+        return [
+            {tok for tok, p in zip(ex.similar_title_tokens, probs[start:end]) if p >= threshold}
+            for ex, start, end in zip(examples, bounds, bounds[1:])
+        ]
 
-    def predict_proba(self, example: PairExample) -> np.ndarray:
+    def _stacked_proba(self, examples: Sequence[PairExample]) -> tuple[np.ndarray, np.ndarray]:
         check_fitted(self, "weights_")
         idf, stopwords = getattr(self, "idf_", None), getattr(self, "stopwords_", None)
         if idf is None or stopwords is None:
             idf, stopwords = self._context()
             self.idf_, self.stopwords_ = idf, stopwords
-        return forward(self.weights_, self._features(example, idf, stopwords))
+        x, bounds = self._stack(examples, idf, stopwords)
+        return forward(self.weights_, x), bounds
+
+    def predict_proba(self, example: PairExample) -> np.ndarray:
+        return self._stacked_proba([example])[0]
+
+    def predict_block(self, examples: Sequence[PairExample]) -> list[set[str]]:
+        """Featurize ``examples`` into one matrix and score it with one ``forward``."""
+        return self._tokens_from_probs(examples, *self._stacked_proba(examples))
 
     def predict_tokens(self, example: PairExample) -> set[str]:
         """Unique lowercase similar-title tokens scored at or above the threshold."""
-        return self._tokens_from_probs(example, self.predict_proba(example))
+        return self.predict_block([example])[0]
 
     def save(self, fh: IO[str]) -> None:
         check_fitted(self, "weights_")

@@ -316,6 +316,29 @@ class TestMetricsReport:
         rows = metrics_rows("demo", examples, preds, strata=stratify_by_clicks(examples))
         assert len(rows) == 10 and calls == ["token", "title"]
 
+    def test_each_skip_tally_logged_once_per_call(self, caplog):
+        examples = [make_example(pair=(f"S{i}", "T"), clicks=10 + i) for i in range(4)]
+        preds = {e.pair_key: {"alpha"} for e in examples[1:]}  # one uncovered pair
+
+        def skip_lines():
+            return [r.getMessage() for r in caplog.records if r.getMessage().startswith("evaluation ")]
+
+        with caplog.at_level(logging.WARNING, logger="coclick"):
+            metrics_rows("demo", examples, preds, strata=stratify_by_clicks(examples))
+            assert skip_lines() == ["evaluation skipped 1 instances without predictions"]
+            caplog.clear()
+            evaluate_predictions(examples, preds, "title")
+            assert skip_lines() == ["evaluation skipped 1 instances without predictions"]
+            # Empty gold with a prediction outside the title: excluded at token
+            # granularity only, so the two granularities' tallies differ.
+            caplog.clear()
+            extra = make_example(gold=(), pair=("S9", "T"))
+            metrics_rows("demo", examples + [extra], {**preds, extra.pair_key: {"zzz"}})
+            assert skip_lines() == [
+                "evaluation skipped 1 instances without predictions",
+                "evaluation excluded 1 instances with empty gold and non-empty predictions",
+            ]
+
     def test_stratum_without_scored_instance_gets_no_row(self, caplog):
         examples = [make_example(pair=(f"S{i}", "T"), clicks=30 + i) for i in range(9)]
         preds = {e.pair_key: {"alpha"} for e in examples[:-1]}  # the top-click pair is uncovered

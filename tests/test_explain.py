@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import coclick.explain
 from coclick.base import ConfigError, DatasetError
 from coclick.dataset import PairExample, TokenClickCounts, lower_tokens, select_gold_tokens
 from coclick.explain import (
@@ -350,6 +351,19 @@ class TestExternalScores:
         preds, skipped = predict_dataset(backend, [ex1, ex2])
         assert skipped == 1
         assert preds == {("S1", "T1"): {"alpha"}}
+
+    def test_blocks_keep_dataset_order_and_tally(self):
+        # One example past the first block, with uncovered pairs on both sides of the seam.
+        n = coclick.explain._PREDICT_BLOCK + 1
+        examples = [make_example("s", "alpha beta gamma", pair=(f"S{i:04d}", "T")) for i in range(n)]
+        backend = ExternalScores(
+            {ex.pair_key: [("beta", 1.0)] for i, ex in enumerate(examples) if i % 7}, k=1
+        )
+        preds, skipped = predict_dataset(backend, examples)
+        want = {ex.pair_key: backend.predict_tokens(ex) for ex in examples}
+        assert preds == {k: v for k, v in want.items() if v is not None}
+        assert list(preds) == [ex.pair_key for i, ex in enumerate(examples) if i % 7]
+        assert skipped == sum(1 for i in range(n) if i % 7 == 0)
 
     def test_generative_default_k_is_four(self):
         assert ExternalScores({}, generative=True).k == 4

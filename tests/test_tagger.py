@@ -8,8 +8,12 @@ import random
 import numpy as np
 import pytest
 
+import coclick.explain
+import coclick.tagger
+import oracle_tagger
 from coclick.base import DatasetError, TrainingDiverged
 from coclick.dataset import PairExample, TokenClickCounts, lower_tokens
+from coclick.explain import predict_dataset
 from coclick.tagger import (
     FEATURES_MERGED,
     FEATURES_SPLIT,
@@ -19,6 +23,8 @@ from coclick.tagger import (
     forward,
     loss_and_grad,
     lr_at,
+    stack_features,
+    stack_labels,
     title_labels,
 )
 from coclick.scoring import compute_idf
@@ -447,3 +453,138 @@ class TestLoadedWithoutContext:
         bare = TokenTagger.load(buf)  # no idf/stopword context attached
         with pytest.raises(DatasetError):
             bare.predict_tokens(train[0])
+
+
+def fuzz_examples(rng, n, vocab, min_len=1, max_len=8, tag="E"):
+    """Random pairs: repeated title tokens, seed sides of any length, random gold."""
+    examples = []
+    for i in range(n):
+        title = [rng.choice(vocab) for _ in range(rng.randint(min_len, max_len))]
+        seed_title = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+        abstract = [rng.choice(vocab) for _ in range(rng.randint(0, 16))]
+        gold = {t for t in title if rng.random() < 0.4}
+        examples.append(
+            make_example(
+                " ".join(seed_title),
+                " ".join(title),
+                seed_abstract=" ".join(abstract),
+                gold=gold,
+                pair=(f"S{tag}{i % 5}", f"T{tag}{i}"),
+            )
+        )
+    return examples
+
+
+class TestMatchesPerExampleOracle:
+    """The stacked path gives the per-example path's bytes: features, training
+    log, history, weights, checkpoint step and predictions."""
+
+    VOCAB = [f"w{i:02d}" for i in range(24)] + ["the", "of", "and"]
+
+    def test_stacked_features_equal_per_example_features(self):
+        rng = random.Random(41)
+        idf = compute_idf([[rng.choice(self.VOCAB) for _ in range(6)] for _ in range(30)])
+        seams = coclick.tagger._FEATURE_BLOCK * 2 + 3  # the matrix is filled in blocks
+        for n in [seams] + [rng.randint(0, 12) for _ in range(40)]:
+            examples = fuzz_examples(rng, n, self.VOCAB)
+            merge, max_len = rng.random() < 0.5, rng.choice([10, 12, 16, 512])
+            stopwords = set(rng.sample(self.VOCAB, 5))
+            x, bounds = stack_features(examples, idf, stopwords, merge, max_len)
+            old = [oracle_tagger.extract_features(ex, idf, stopwords, merge, max_len) for ex in examples]
+            dim = len(FEATURES_MERGED if merge else FEATURES_SPLIT)
+            assert x.tobytes() == np.concatenate([np.empty((0, dim))] + old).tobytes()
+            assert bounds.tolist() == [0, *np.cumsum([len(f) for f in old]).tolist()]
+            for ex, want in zip(examples, old):
+                got = extract_features(ex, idf, stopwords, merge, max_len)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            labels = [oracle_tagger.title_labels(ex) for ex in examples]
+            assert stack_labels(examples).tobytes() == np.concatenate([np.empty(0)] + labels).tobytes()
+
+    def test_fit_and_predict_fuzz(self):
+        rng = random.Random(43)
+        for case in range(30):
+            train = fuzz_examples(rng, rng.randint(1, 40), self.VOCAB, tag=f"{case}r")
+            # A 1-row matrix takes another BLAS path than a row of a stacked
+            # one, which can change the last bit of its probability; dev F1
+            # is compared to the per-example path, so dev titles have 2+ tokens.
+            dev = fuzz_examples(rng, rng.randint(1, 12), self.VOCAB, min_len=2, tag=f"{case}d")
+            dev = rng.choice([None, [], dev])
+            test = fuzz_examples(rng, rng.randint(1, 20), self.VOCAB, tag=f"{case}t")
+            settings = dict(
+                lr=rng.choice([5e-3, 5e-2, 0.3]),
+                warmup_steps=rng.choice([None, 0, 4]),
+                total_steps=rng.randint(1, 60),
+                batch_size=rng.choice([1, 3, 8, 64]),
+                rng_seed=rng.randrange(100),
+                eval_every=rng.randint(1, 20),
+                decision_threshold=rng.choice([0.3, 0.5, 0.7]),
+                merge_seed_features=rng.random() < 0.5,
+                max_len=rng.choice([10, 12, 16, 512]),
+                stopwords=set(rng.sample(self.VOCAB, 5)),
+            )
+            if rng.random() < 0.5:
+                settings["idf"] = compute_idf([ex.similar_title_tokens for ex in train + test])
+            new_log, old_log = io.StringIO(), io.StringIO()
+            new = TokenTagger(**settings).fit(train, dev, metrics_log=new_log)
+            old = oracle_tagger.OracleTagger(**settings).fit(train, dev, metrics_log=old_log)
+            assert new_log.getvalue() == old_log.getvalue()
+            assert repr(new.history_) == repr(old.history_)  # repr: a nan dev F1 equals itself
+            assert new.weights_.tobytes() == old.weights_.tobytes()
+            assert new.step_ == old.step_
+            # Predictions of 1-token titles are compared as token sets only (see above).
+            preds, skipped = predict_dataset(new, test)
+            assert skipped == 0
+            assert list(preds.items()) == [(ex.pair_key, old.predict_tokens(ex)) for ex in test]
+            for ex in test:
+                if len(ex.similar_title_tokens) > 1:
+                    assert new.predict_proba(ex).tobytes() == old.predict_proba(ex).tobytes()
+
+    def test_oversize_similar_title_raises_the_same_error(self):
+        ok = make_example("s1 s2", "t1 t2 t3", gold={"t1"}, pair=("S0", "T0"))
+        big = make_example("s1", " ".join(f"t{i}" for i in range(9)), pair=("SB", "TB"))
+
+        def message(run):
+            with pytest.raises(DatasetError) as err:
+                run()
+            return str(err.value)
+
+        for cls in (TokenTagger, oracle_tagger.OracleTagger):
+            assert "(SB, TB)" in message(lambda: cls(max_len=10, total_steps=2).fit([ok, big]))
+        for run in (
+            lambda cls: cls(max_len=10, total_steps=2).fit([ok, big]),
+            lambda cls: cls(max_len=10, total_steps=2).fit([ok], [ok, big]),
+            lambda cls: cls(max_len=10, total_steps=2).fit([ok]).predict_tokens(big),
+            lambda cls: predict_dataset(cls(max_len=10, total_steps=2).fit([ok]), [ok, big]),
+        ):
+            assert message(lambda: run(TokenTagger)) == message(lambda: run(oracle_tagger.OracleTagger))
+
+
+class TestBatchedPrediction:
+    @pytest.fixture(scope="class")
+    def tagger(self):
+        rng = random.Random(47)
+        return TokenTagger(total_steps=80, batch_size=16, eval_every=40, rng_seed=6).fit(
+            separable_examples(60, rng), separable_examples(12, rng)
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, coclick.explain._PREDICT_BLOCK + 1])
+    def test_matches_per_example_prediction_in_dataset_order(self, tagger, n):
+        examples = separable_examples(n, random.Random(53))
+        preds, skipped = predict_dataset(tagger, examples)
+        assert skipped == 0
+        assert list(preds.items()) == [(ex.pair_key, tagger.predict_tokens(ex)) for ex in examples]
+
+    def test_one_forward_per_block_and_per_dev_eval(self, tagger, monkeypatch):
+        calls = []
+        real = coclick.tagger.forward
+        monkeypatch.setattr(coclick.tagger, "forward", lambda w, x: calls.append(len(x)) or real(w, x))
+        examples = separable_examples(coclick.explain._PREDICT_BLOCK + 1, random.Random(59))
+        predict_dataset(tagger, examples)
+        assert len(calls) == 2
+        calls.clear()
+        rng = random.Random(61)
+        dev = separable_examples(12, rng)
+        TokenTagger(total_steps=30, batch_size=8, eval_every=10).fit(separable_examples(20, rng), dev)
+        dev_rows = sum(len(ex.similar_title_tokens) for ex in dev)
+        # loss_and_grad runs forward once per step; each of the 3 evals runs it once on all dev rows
+        assert len(calls) == 30 + 3 and calls.count(dev_rows) == 3
