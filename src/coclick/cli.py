@@ -29,7 +29,7 @@ from .explain import (
     load_predictions,
     load_stopwords,
 )
-from .logs import read_metadata
+from .logs import DROP_REASONS, read_metadata
 from .pipeline import (
     corpus_documents,
     run_build,
@@ -276,6 +276,7 @@ def cmd_ingest(args) -> int:
         f"parsed {stats.parsed} events ({stats.malformed} malformed lines skipped), "
         f"{n_pairs} coclicked pairs -> {args.out}"
     )
+    print("malformed lines by reason: " + ", ".join(f"{r} {getattr(stats, r)}" for r in DROP_REASONS))
     return 0
 
 

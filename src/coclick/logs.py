@@ -11,9 +11,9 @@ Ingest is one streamed pass: ``aggregate_sharded(parse_log(lines))`` holds a
 themselves, and counts each group's pairs straight into the aggregates.
 With ``flush_sessions=True`` it counts and drops a session's groups as soon
 as the next session starts, so the group map holds one session's clicks
-however long the log; the ids of finished sessions are kept to spot one
-that shows up again. That needs each session's lines to be contiguous, as
-``sort -s -t$'\\t' -k1,1`` makes them. A session that shows up again raises
+however long the log; one 8-byte hash per session is kept to spot one that
+shows up again. That needs each session's lines to be contiguous, as
+``sort -s -t$'\\t' -k1,1`` makes them. A repeated hash raises
 :class:`SessionReappeared`, and ``run_ingest`` then logs one warning, seeks
 back to the start and reads the log again holding every group. A log that
 cannot seek, such as a pipe, is read once holding every group.
@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import json
 import sys
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import IO, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .base import DatasetError, PairKey, json_pair_key, read_pair_records, undecodable_line
 
@@ -59,12 +62,27 @@ class PairAggregate:
         return sum(self.query_counts.values())
 
 
+# Why parse_log drops a line, in the order it checks: not five fields, a rank
+# or timestamp that is not an integer, a rank below 1, and an empty query,
+# article id or session id.
+DROP_REASONS = ("field_count", "not_integer", "rank_below_1", "empty_field")
+
+
 @dataclass
 class ParseStats:
-    """Counters exposed for monitoring a parse run."""
+    """Counters exposed for monitoring a parse run: lines kept, and lines
+    dropped per reason of :data:`DROP_REASONS`."""
 
     parsed: int = 0
-    malformed: int = 0
+    field_count: int = 0
+    not_integer: int = 0
+    rank_below_1: int = 0
+    empty_field: int = 0
+
+    @property
+    def malformed(self) -> int:
+        """Lines dropped for any reason."""
+        return self.field_count + self.not_integer + self.rank_below_1 + self.empty_field
 
 
 def normalize_query(query: str) -> str:
@@ -75,13 +93,14 @@ def normalize_query(query: str) -> str:
 def parse_log(lines: Iterable[str], stats: ParseStats | None = None) -> Iterator[SessionEvent]:
     """Yield a :class:`SessionEvent` per well-formed TSV line.
 
-    Malformed lines (wrong field count, bad rank, empty query or article id)
-    are skipped and tallied; real logs are dirty and a bad line should never
-    abort an ingest. The tallies are added to ``stats`` when the stream is
-    used up or closed, not line by line. A line of a text file that is not
-    UTF-8 raises :class:`DatasetError` naming the line.
+    Malformed lines are skipped and tallied under the first of
+    :data:`DROP_REASONS` they fail; real logs are dirty and a bad line should
+    never abort an ingest. Blank lines are skipped untallied. The tallies are
+    added to ``stats`` when the stream is used up or closed, not line by
+    line. A line of a text file that is not UTF-8 raises
+    :class:`DatasetError` naming the line.
     """
-    parsed = malformed = blank = 0
+    parsed = blank = field_count = not_integer = rank_below_1 = empty_field = 0
     width = len(RAW_LOG_COLUMNS)
     # Builds each event as a plain tuple of the subclass, skipping the
     # Python-level SessionEvent.__new__ call that otherwise runs per line.
@@ -93,7 +112,7 @@ def parse_log(lines: Iterable[str], stats: ParseStats | None = None) -> Iterator
                 if fields == [""]:
                     blank += 1
                 else:
-                    malformed += 1
+                    field_count += 1
                 continue
             session_id, ts_text, query, rank_text, article_id = fields
             query = query.strip()
@@ -102,20 +121,26 @@ def parse_log(lines: Iterable[str], stats: ParseStats | None = None) -> Iterator
                 rank = int(rank_text)
                 timestamp = int(ts_text)
             except ValueError:
-                malformed += 1
+                not_integer += 1
                 continue
-            if rank < 1 or not query or not article_id or not session_id:
-                malformed += 1
+            if rank < 1:
+                rank_below_1 += 1
+                continue
+            if not query or not article_id or not session_id:
+                empty_field += 1
                 continue
             parsed += 1
             yield new_event(SessionEvent, (session_id, query, rank, article_id, timestamp))
     except UnicodeDecodeError as exc:
-        lineno = undecodable_line(exc, parsed + malformed + blank)
-        raise DatasetError(f"raw log line {lineno} is not UTF-8: {exc}") from exc
+        read = parsed + blank + field_count + not_integer + rank_below_1 + empty_field
+        raise DatasetError(f"raw log line {undecodable_line(exc, read)} is not UTF-8: {exc}") from exc
     finally:
         if stats is not None:
             stats.parsed += parsed
-            stats.malformed += malformed
+            stats.field_count += field_count
+            stats.not_integer += not_integer
+            stats.rank_below_1 += rank_below_1
+            stats.empty_field += empty_field
 
 
 def ranked_pairs(clicks: list[Click]) -> list[PairKey]:
@@ -139,11 +164,15 @@ class SessionReappeared(Exception):
 
     Raised by :func:`aggregate_sharded` with ``flush_sessions=True``, which
     has already counted the session's earlier groups and so cannot go on.
+    The pass keeps only a hash per session, so the signal cannot name the
+    session, and a 64-bit hash collision between two sessions raises it too.
     """
 
-    def __init__(self, session_id: str):
-        super().__init__(session_id)
-        self.session_id = session_id
+
+def _has_repeat(hashes: array) -> bool:
+    """Whether ``hashes`` holds some value twice: one sorted copy, no Python ints."""
+    ordered = np.sort(np.frombuffer(hashes, dtype=np.int64))
+    return bool((ordered[1:] == ordered[:-1]).any())
 
 
 def aggregate_sharded(
@@ -153,24 +182,37 @@ def aggregate_sharded(
 
     ``events`` is consumed once and may be a generator such as
     :func:`parse_log`. Each group holds only its (rank, article_id) clicks;
-    :func:`ranked_pairs` gives the pair rule. Each group's query is
-    normalized once and its pairs are counted in place.
+    :func:`ranked_pairs` gives the pair rule. Each distinct query is
+    normalized once per pass, and every pair counted under it shares that
+    one key string.
 
     By default every group is held until ``events`` ends, so groups need not
     be contiguous and any event order gives exact counts. With
     ``flush_sessions=True`` a session's groups are counted and dropped when
-    the next session starts. A session seen again after that closes
-    ``events`` (ending a :func:`parse_log` generator, which adds its tallies
-    once) and raises :class:`SessionReappeared`.
+    the next session starts, and only ``hash(session_id)`` is kept. The
+    hashes are checked for a repeat whenever their count reaches a power of
+    two and once at the end, so a session that reappears as the i-th run of
+    sessions is caught by the start of run 2i at the latest. A repeat, which
+    may also be a hash collision, closes ``events`` (ending a
+    :func:`parse_log` generator, which adds its tallies once) and raises
+    :class:`SessionReappeared`. Hashes of ``str`` differ per process, so they
+    decide only whether the signal fires, never what is counted.
     """
     groups: defaultdict[tuple[str, str], list[Click]] = defaultdict(list)
     aggregates: dict[PairKey, PairAggregate] = {}
+    # Raw query -> its normalized form. normalize_query is idempotent, so a
+    # normalized form is also stored as its own key, and every raw variant
+    # of one normalized query maps to the same string object.
+    normalized: dict[str, str] = {}
 
     def count_groups() -> None:
         for (_, query), clicks in groups.items():
             if len(clicks) < 2:
                 continue
-            nq = normalize_query(query)
+            nq = normalized.get(query)
+            if nq is None:
+                nq = normalize_query(query)
+                nq = normalized[query] = normalized.setdefault(nq, nq)
             for pair in ranked_pairs(clicks):
                 agg = aggregates.get(pair)
                 if agg is None:
@@ -179,20 +221,28 @@ def aggregate_sharded(
                 counts[nq] = counts.get(nq, 0) + 1
         groups.clear()
 
+    def reappeared() -> SessionReappeared:
+        close = getattr(events, "close", None)
+        if close is not None:
+            close()
+        return SessionReappeared("a session's lines are not contiguous")
+
     current: str | None = None
-    started: set[str] = set()
+    session_hashes = array("q")
+    next_check = 1
     for session_id, query, rank, article_id, _ in events:
         if flush_sessions and session_id != current:
             count_groups()
-            if session_id in started:
-                close = getattr(events, "close", None)
-                if close is not None:
-                    close()
-                raise SessionReappeared(session_id)
-            started.add(session_id)
+            session_hashes.append(hash(session_id))
+            if len(session_hashes) == next_check:
+                next_check *= 2
+                if _has_repeat(session_hashes):
+                    raise reappeared()
             current = session_id
         groups[session_id, query].append((rank, article_id))
     count_groups()
+    if flush_sessions and _has_repeat(session_hashes):
+        raise reappeared()
     return aggregates
 
 
@@ -245,8 +295,14 @@ class Article:
 
 
 def read_metadata(fh: IO[str]) -> dict[str, Article]:
-    """Read the article metadata TSV (article_id, title, abstract)."""
+    """Read the article metadata TSV (article_id, title, abstract).
+
+    A row with another field count, a repeated article id or a line that is
+    not UTF-8 raises :class:`DatasetError` naming the line (both lines for a
+    repeat).
+    """
     articles: dict[str, Article] = {}
+    first_lines: dict[str, int] = {}
     lineno = 0
     try:
         for lineno, line in enumerate(fh, start=1):
@@ -259,17 +315,52 @@ def read_metadata(fh: IO[str]) -> dict[str, Article]:
             if len(fields) != len(METADATA_COLUMNS):
                 raise DatasetError(f"bad metadata row at line {lineno}: {line!r}")
             article_id, title, abstract = fields
+            if article_id in articles:
+                raise DatasetError(
+                    f"duplicate article id {article_id!r} at line {lineno}, first at line {first_lines[article_id]}"
+                )
             articles[article_id] = Article(article_id, title, abstract)
+            first_lines[article_id] = lineno
     except UnicodeDecodeError as exc:
         raise DatasetError(f"bad metadata row at line {undecodable_line(exc, lineno)}: {exc}") from exc
     return articles
 
 
+# Rows per write: each chunk is formatted, checked and written as one string.
+# Small enough that the chunk's lines add nothing visible to synth's peak.
+_WRITE_CHUNK = 256
+
+
+def _write_chunk(fh: IO[str], columns: tuple[str, ...], lines: list[str], rows: Iterable[tuple]) -> None:
+    """Write one chunk of formatted TSV ``lines``, refusing a field that would
+    shift columns or split a line on reading.
+
+    The chunk's text is checked once as a whole: one tab per column gap and
+    one newline per line, and no carriage return. Only a bad chunk is
+    searched, through ``rows`` (each line's values in ``columns`` order),
+    for the field to name in the :class:`DatasetError`.
+    """
+    text = "".join(lines)
+    if text.count("\t") != (len(columns) - 1) * len(lines) or text.count("\n") != len(lines) or "\r" in text:
+        for row in rows:
+            for name, value in zip(columns, row):
+                if any(c in str(value) for c in "\t\n\r"):
+                    raise DatasetError(f"cannot write {name} {value!r}: it holds a tab or line break")
+    fh.write(text)
+
+
 def write_metadata(articles: Iterable[Article], fh: IO[str]) -> None:
-    for article in articles:
-        fh.write(f"{article.article_id}\t{article.title}\t{article.abstract}\n")
+    """Write the article metadata TSV; a field holding a tab or line break raises :class:`DatasetError`."""
+    articles = iter(articles)
+    while chunk := list(islice(articles, _WRITE_CHUNK)):
+        lines = [f"{a.article_id}\t{a.title}\t{a.abstract}\n" for a in chunk]
+        _write_chunk(fh, METADATA_COLUMNS, lines, ((a.article_id, a.title, a.abstract) for a in chunk))
 
 
 def write_events(events: Iterable[SessionEvent], fh: IO[str]) -> None:
-    for e in events:
-        fh.write(f"{e.session_id}\t{e.timestamp}\t{e.query}\t{e.rank}\t{e.article_id}\n")
+    """Write a raw log TSV; a field holding a tab or line break raises :class:`DatasetError`."""
+    events = iter(events)
+    while chunk := list(islice(events, _WRITE_CHUNK)):
+        lines = [f"{e.session_id}\t{e.timestamp}\t{e.query}\t{e.rank}\t{e.article_id}\n" for e in chunk]
+        rows = ((e.session_id, e.timestamp, e.query, e.rank, e.article_id) for e in chunk)
+        _write_chunk(fh, RAW_LOG_COLUMNS, lines, rows)

@@ -151,25 +151,26 @@ def run_ingest(log_path: str | Path, out_path: str | Path) -> tuple[ParseStats, 
     """Stream the raw log into pair aggregates; returns the parse tallies and pair count.
 
     The log is opened once. If it can seek, each session's coclicks are
-    counted when the session ends, so only one session's clicks are held at a
-    time; should a session's lines not be contiguous, one warning is logged
-    and the log is read again from the start holding every (session, query)
-    group until the end. A log that cannot seek, such as a pipe, is read once
-    holding every group.
+    counted when the session ends, so only one session's clicks and one hash
+    per session are held; should a session's lines not be contiguous (or two
+    session ids share a hash), one warning is logged and the log is read
+    again from the start holding every (session, query) group until the end.
+    Either pass writes the same aggregates. A log that cannot seek, such as a
+    pipe, is read once holding every group.
     """
     stats = ParseStats()
     with open(log_path, encoding="utf-8") as fh:
         try:
             aggregates = aggregate_sharded(parse_log(fh, stats), flush_sessions=fh.seekable())
-        except SessionReappeared as exc:
+        except SessionReappeared:
             log.warning(
-                "%s: session %r reappears after other sessions; reading the log again with every "
+                "%s: the log's sessions are not contiguous; reading the log again with every "
                 "session held in memory (sort -s -t$'\\t' -k1,1 groups each session's lines)",
-                log_path, exc.session_id,
+                log_path,
             )
             aggregates = None
         # Re-read outside the handler: the signal's traceback holds the first
-        # pass's aggregates and session ids until the handler ends.
+        # pass's aggregates and session hashes until the handler ends.
         if aggregates is None:
             fh.seek(0)
             stats = ParseStats()

@@ -868,7 +868,9 @@ class TestDeterminism:
         )
         out = tmp_path / "agg.jsonl"
         assert main(["ingest", "--log", str(log), "--out", str(out)]) == 0
-        assert "parsed 4 events (4 malformed lines skipped), 2 coclicked pairs" in capsys.readouterr().out
+        printed = capsys.readouterr().out.splitlines()
+        assert "parsed 4 events (4 malformed lines skipped), 2 coclicked pairs" in printed[0]
+        assert printed[1] == "malformed lines by reason: field_count 1, not_integer 1, rank_below_1 1, empty_field 1"
         records = [json.loads(line) for line in out.read_text("utf-8").splitlines()]
         assert [(r["seed_id"], r["similar_id"], r["query_counts"]) for r in records] == [
             ("P1", "P2", {"q one": 1}),

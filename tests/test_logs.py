@@ -7,11 +7,15 @@ import os
 import random
 import threading
 import tracemalloc
+from collections import Counter
 
 import pytest
 
+import coclick.logs
 from coclick.base import DatasetError
 from coclick.logs import (
+    DROP_REASONS,
+    Article,
     PairAggregate,
     ParseStats,
     SessionEvent,
@@ -20,7 +24,10 @@ from coclick.logs import (
     normalize_query,
     parse_log,
     read_aggregates,
+    read_metadata,
     write_aggregates,
+    write_events,
+    write_metadata,
 )
 from coclick.pipeline import run_ingest
 
@@ -99,6 +106,48 @@ class TestParseLog:
         assert len(events) == 2
         assert stats.parsed == 2
         assert stats.malformed == 1
+
+    def test_tallies_per_reason_match_brute_force_classifier(self):
+        rng = random.Random(29)
+        pieces = {
+            "session": ["s1", "s2", ""],
+            "ts": ["5", "-1", "t", "", " 7", "1.5"],
+            "query": ["q", "Flu  SHOT", " ", ""],
+            "rank": ["1", "3", "0", "-2", "x", "", " 2 "],
+            "article": ["P1", "P2", "", " "],
+        }
+        for _ in range(50):
+            lines = []
+            for _ in range(rng.randint(0, 60)):
+                fields = [rng.choice(pieces[k]) for k in ("session", "ts", "query", "rank", "article")]
+                width = rng.choice([5, 5, 5, 5, 1, 3, 4, 6])
+                lines.append("\t".join((fields + ["extra"])[:width]) + rng.choice(["", "\n"]))
+            expected = Counter(classify_line(line) for line in lines)
+            stats = ParseStats()
+            events = list(parse_log(lines, stats))
+            assert len(events) == stats.parsed == expected["parsed"]
+            assert {r: getattr(stats, r) for r in DROP_REASONS} == {r: expected[r] for r in DROP_REASONS}
+            assert stats.malformed == sum(expected[r] for r in DROP_REASONS)
+
+
+def classify_line(line):
+    """What parse_log should do with ``line``: 'parsed', 'blank' or the first drop reason it fails."""
+    fields = line.rstrip("\n").split("\t")
+    if fields == [""]:
+        return "blank"
+    if len(fields) != 5:
+        return "field_count"
+    session, ts, query, rank, article = fields
+    for text in (rank, ts):
+        try:
+            int(text)
+        except ValueError:
+            return "not_integer"
+    if int(rank) <= 0:
+        return "rank_below_1"
+    if "" in (session, query.strip(), article.strip()):
+        return "empty_field"
+    return "parsed"
 
 
 def pair_counts(events):
@@ -296,14 +345,63 @@ class TestSessionFlush:
             assert {k: v.query_counts for k, v in got.items()} == brute_force_counts(events)
 
     def test_reappearing_session_closes_the_stream_then_signals(self):
-        lines = ["a\t1\tq\t1\tP1", "a\t2\tq\t2\tP2", "b\t3\tq\t1\tP1", "bad", "a\t4\tq\t3\tP3", "c\t5\tq\t1\tP1"]
+        # Session a comes back as the third run of sessions. The hashes are
+        # checked when the fourth run (c) starts, so the signal fires there,
+        # before d is read.
+        lines = [
+            "a\t1\tq\t1\tP1", "a\t2\tq\t2\tP2", "b\t3\tq\t1\tP1", "bad", "a\t4\tq\t3\tP3",
+            "c\t5\tq\t1\tP1", "d\t6\tq\t1\tP1",
+        ]
         stats = ParseStats()
         stream = parse_log(lines, stats)
-        with pytest.raises(SessionReappeared) as exc:
+        with pytest.raises(SessionReappeared):
             aggregate_sharded(stream, flush_sessions=True)
-        assert exc.value.session_id == "a"
         assert stream.gi_frame is None
-        assert (stats.parsed, stats.malformed) == (4, 1)
+        assert (stats.parsed, stats.malformed) == (5, 1)
+
+    @pytest.mark.parametrize("reappears_at", [3, 4, 5, 8, 9, 13, 16, 17, 31, 40])
+    @pytest.mark.parametrize("runs", [40, 70])
+    def test_reappearance_at_run_i_is_signalled_by_run_2i(self, reappears_at, runs):
+        # Run k (1-based) is a new session, except run ``reappears_at``, which
+        # repeats one from before run k - 1. Every third run ends with a
+        # malformed line.
+        rng = random.Random(reappears_at * runs)
+        lines, first_line_of_run = [], {}
+        for k in range(1, runs + 1):
+            session = f"s{rng.randrange(1, k - 1)}" if k == reappears_at else f"s{k}"
+            first_line_of_run[k] = len(lines)
+            lines += [f"{session}\t{k}\tq\t{rank}\tP{rank}" for rank in (1, 2)]
+            if k % 3 == 0:
+                lines.append("bad line")
+        consumed = 0
+
+        def counted():
+            nonlocal consumed
+            for line in lines:
+                consumed += 1
+                yield line
+
+        stats = ParseStats()
+        stream = parse_log(counted(), stats)
+        with pytest.raises(SessionReappeared):
+            aggregate_sharded(stream, flush_sessions=True)
+        assert stream.gi_frame is None
+        assert stats.parsed + stats.malformed == consumed
+        latest = first_line_of_run[2 * reappears_at] + 1 if 2 * reappears_at <= runs else len(lines)
+        assert consumed <= latest
+
+    def test_every_session_hash_colliding_still_gives_exact_aggregates(self, tmp_path, caplog, monkeypatch):
+        # With one hash for every session id, the first check with two
+        # sessions signals, and the exact hold-all re-read counts the log.
+        lines = sorted(session_log(random.Random(3), 300), key=lambda line: line.split("\t")[0])
+        stats = ParseStats()
+        expected = brute_force_counts(list(parse_log(lines, stats)))
+        monkeypatch.setattr(coclick.logs, "hash", lambda session_id: 7, raising=False)
+        with caplog.at_level(logging.WARNING, logger="coclick"):
+            counts, tallies = ingest_counts(tmp_path, "colliding", lines)
+        assert counts == expected
+        assert tallies == (stats.parsed, stats.malformed)
+        assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
 
     def test_ingest_of_shuffled_and_sorted_logs_equals_recount(self, tmp_path, caplog):
         lines = session_log(random.Random(3), 300)
@@ -321,7 +419,7 @@ class TestSessionFlush:
             records = [r for r in caplog.records if r.levelno == logging.WARNING]
             assert len(records) == warnings, name
         message = records[0].getMessage()
-        assert "reappears" in message and "sort -s -t$'\\t' -k1,1" in message
+        assert "sessions are not contiguous" in message and "sort -s -t$'\\t' -k1,1" in message
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_ingest_of_shuffled_log_through_a_pipe_equals_recount(self, tmp_path, caplog):
@@ -374,7 +472,8 @@ class TestSessionFlush:
             counts[flush] = {k: v.query_counts for k, v in aggregates.items()}
         assert counts[True] == counts[False]
         assert peaks[True] <= peaks[False] / 2, peaks
-
+        # One 8-byte hash per finished session, plus a sorted copy while checking.
+        assert peaks[True] <= 32 * 80_000, peaks
 
     def test_fallback_after_a_late_reappearance_peaks_like_one_hold_all_pass(self, tmp_path):
         # A session-sorted log whose first line moved last: the flushed pass
@@ -462,3 +561,25 @@ class TestAggregateIO:
         record = {"seed_id": "P1", "similar_id": "P2", "query_counts": {"q": 1}, "combined_clicks": 1}
         with pytest.raises(DatasetError, match="duplicate .* line 2, first at line 1"):
             self._read(record, {**record, "query_counts": {"r": 1}})
+
+
+class TestTsvFiles:
+    def test_repeated_article_id_names_both_lines(self):
+        text = "A\tfirst title\tabs\n\nB\tother\t\nA\tsecond title\tabs2\n"
+        with pytest.raises(DatasetError, match="duplicate article id 'A' at line 4, first at line 1"):
+            read_metadata(io.StringIO(text))
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb", "ab\n"])
+    @pytest.mark.parametrize("field", ["session_id", "query", "article_id"])
+    def test_event_field_with_tab_or_line_break_is_refused(self, field, bad):
+        fields = {"session_id": "s1", "query": "q", "rank": 1, "article_id": "P1", "timestamp": 0}
+        event = SessionEvent(**{**fields, field: bad})
+        with pytest.raises(DatasetError, match=f"cannot write {field} "):
+            write_events([make_event()] * 5000 + [event], io.StringIO())
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\r"])
+    @pytest.mark.parametrize("field", ["article_id", "title", "abstract"])
+    def test_metadata_field_with_tab_or_line_break_is_refused(self, field, bad):
+        article = Article(**{"article_id": "A", "title": "t", "abstract": "x", field: bad})
+        with pytest.raises(DatasetError, match=f"cannot write {field} "):
+            write_metadata([article], io.StringIO())
