@@ -369,7 +369,7 @@ def _build_backend(args):
 
 def cmd_explain(args) -> int:
     backend = _build_backend(args)
-    n_examples, n_predicted = run_explain(args.dataset, backend, args.out)
+    n_examples, (n_predicted,) = run_explain(args.dataset, [(backend, args.out)])
     skipped = n_examples - n_predicted
     note = f" ({skipped} uncovered skipped)" if skipped else ""
     print(f"{backend.name}: predicted {n_predicted} of {n_examples} examples{note} -> {args.out}")

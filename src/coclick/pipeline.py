@@ -246,21 +246,28 @@ def run_train(
     return len(train), len(dev)
 
 
-def run_explain(dataset_path: str | Path, backend: Explainer, out_path: str | Path) -> tuple[int, int]:
-    """Write ``backend``'s tokens for each example of the dataset to ``out_path``.
+def run_explain(
+    dataset_path: str | Path, outputs: list[tuple[Explainer, str | Path]]
+) -> tuple[int, list[int]]:
+    """For each ``(backend, out_path)`` of ``outputs``, write the backend's
+    tokens for each example of the dataset to ``out_path``.
 
-    An example the backend does not cover gets no line. Returns the number of
-    examples and of predictions written.
+    The dataset is loaded once. An example a backend does not cover gets no
+    line. Returns the number of examples and, per output, of predictions
+    written.
     """
     with open(dataset_path, encoding="utf-8") as fh:
         examples = load_dataset(fh)
-    predictions, _ = predict_dataset(backend, examples)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        # predict_dataset keys its map in dataset order
-        for (seed_id, similar_id), tokens in predictions.items():
-            record = {"seed_id": seed_id, "similar_id": similar_id, "tokens": sorted(tokens)}
-            fh.write(json.dumps(record) + "\n")
-    return len(examples), len(predictions)
+    written = []
+    for backend, out_path in outputs:
+        predictions, _ = predict_dataset(backend, examples)
+        with open(out_path, "w", encoding="utf-8") as fh:
+            # predict_dataset keys its map in dataset order
+            for (seed_id, similar_id), tokens in predictions.items():
+                record = {"seed_id": seed_id, "similar_id": similar_id, "tokens": sorted(tokens)}
+                fh.write(json.dumps(record) + "\n")
+        written.append(len(predictions))
+    return len(examples), written
 
 
 def run_eval(
@@ -335,11 +342,12 @@ def run_pipeline(workdir: str | Path, config: PipelineConfig | None = None) -> P
     # explain + eval on the held-out test split
     with open(paths["articles"], encoding="utf-8") as fh:
         articles = read_metadata(fh)
-    preds = []
+    outputs = []
     for backend in default_backends(articles, tagger):
         path = paths[f"pred.{backend.name}"] = workdir / f"pred.{backend.name}.jsonl"
-        run_explain(paths["test"], backend, path)
-        preds.append((backend.name, path))
+        outputs.append((backend, path))
+    run_explain(paths["test"], outputs)
+    preds = [(backend.name, path) for backend, path in outputs]
     rows = run_eval(paths["test"], preds, paths["metrics"], "clicks")
 
     return PipelineResult(

@@ -16,6 +16,7 @@ context-aware model an edge over seed-title-only scorers.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -61,6 +62,15 @@ class SynthConfig:
             raise ConfigError("clusters need at least 2 topic tokens")
         if self.cluster_size < 2:
             raise ConfigError("clusters need at least 2 articles to coclick")
+        # generate_sessions replicates Generator.choice's Floyd path, which
+        # NumPy leaves for a tail shuffle above 10,000, and integers' 32-bit
+        # Lemire path, which ends at 2**32.
+        if self.topics_per_cluster > 10_000:
+            raise ConfigError(
+                f"topics_per_cluster must be at most 10000, got {self.topics_per_cluster}"
+            )
+        if self.n_articles >= 2**32 - 1:
+            raise ConfigError(f"n_articles must be below 2**32 - 1, got {self.n_articles}")
         clicks = self.clicks_dist
         if len(clicks) != 3 or not _valid_weights(clicks) or sum(clicks) <= 0:
             raise ConfigError(
@@ -104,16 +114,86 @@ def _zipf_weights(n: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _choice_cdf(p: np.ndarray) -> np.ndarray:
-    """The CDF ``Generator.choice(n, p=p)`` builds on every call.
+def _choice_cdf(p: np.ndarray) -> list[float]:
+    """The CDF ``Generator.choice(n, p=p)`` builds on every call, as a list.
 
-    ``int(cdf.searchsorted(rng.random(), side="right"))`` then draws the same
-    index from the same bits as ``rng.choice(len(p), p=p)``, without the
-    per-call checks and setup.
+    ``bisect.bisect_right(cdf, u)`` for a uniform ``u`` then picks the index
+    ``cdf.searchsorted(u, side="right")`` gives inside ``Generator.choice``,
+    so with ``u`` from ``_RawDraws.random`` it draws the same index from the
+    same bits as ``rng.choice(len(p), p=p)``.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return cdf
+    return cdf.tolist()
+
+
+class _RawDraws:
+    """Four ``numpy.random.Generator`` routines over raw PCG64 words.
+
+    ``random()``, ``integers(n)`` and ``choice(n, k)`` return what
+    ``rng.random()``, ``rng.integers(0, n)`` and
+    ``rng.choice(n, size=k, replace=False)`` return on a ``Generator`` in the
+    same state, for ``1 <= n < 2**32`` and ``k <= n <= 10_000`` respectively
+    (``SynthConfig.validate`` keeps sessions inside both). They follow
+    NumPy's implementation: a double is the top 53 bits of one word; a
+    32-bit draw takes a word's low half and keeps its high half for the next
+    32-bit draw (PCG64's ``next_uint32``); a bounded draw is Lemire's
+    multiply-and-reject on 32-bit draws; and a sample without replacement is
+    Floyd's algorithm followed by a Fisher-Yates shuffle (``_shuffle_int``).
+    The words come from ``bit_generator.random_raw`` in small blocks, a
+    stream NEP 19 keeps stable across releases, so no draw costs a
+    ``Generator`` call. The bit generator runs ahead by up to a block, so it
+    is not to be used after.
+    """
+
+    _BLOCK = 256  # words per ``random_raw`` call; larger blocks raise peak RSS
+
+    def __init__(self, bit_generator: np.random.BitGenerator) -> None:
+        self._next_word = self._words(bit_generator).__next__
+        self._high: int | None = None
+
+    @classmethod
+    def _words(cls, bit_generator: np.random.BitGenerator):
+        while True:
+            yield from bit_generator.random_raw(cls._BLOCK).tolist()
+
+    def random(self) -> float:
+        return (self._next_word() >> 11) * 2.0**-53
+
+    def _uint32(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        word = self._next_word()
+        self._high = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        """A uniform int in ``[0, n)``; ``n == 1`` consumes no bits."""
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = (0x100000000 - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def choice(self, n: int, k: int) -> list[int]:
+        """``k`` distinct ints from ``[0, n)``, in ``Generator.choice`` order."""
+        picked: list[int] = []
+        seen: set[int] = set()
+        for j in range(n - k, n):
+            value = self.integers(j + 1)
+            if value in seen:
+                value = j
+            seen.add(value)
+            picked.append(value)
+        for i in range(k - 1, 0, -1):
+            j = self.integers(i + 1)
+            picked[i], picked[j] = picked[j], picked[i]
+        return picked
 
 
 def generate_corpus(config: SynthConfig) -> SynthCorpus:
@@ -180,16 +260,19 @@ def generate_sessions(corpus: SynthCorpus, config: SynthConfig) -> list[SessionE
     tokens, 1 to 4 tokens long.
 
     The draw stream is part of the reproducibility contract: each session
-    consumes the generator exactly as per-call ``rng.choice`` did
-    (``tests/oracle_sessions.py`` keeps that loop), so the event log for a
-    given config and seed never changes. The weighted draws go through CDFs
-    built once, and the uniform pick of a further click uses
-    ``rng.integers``; the query-token subset stays a ``rng.choice`` call.
+    consumes the PCG64 bit stream exactly as the per-call ``rng.choice`` loop
+    did (``tests/oracle_sessions.py`` keeps that loop), so the event log for
+    a given config and seed never changes. Every draw goes through
+    ``_RawDraws`` on raw words of ``default_rng(seed + 1)``: the weighted
+    picks bisect CDFs built once (``Generator.choice(n, p=p)``), a further
+    click's uniform pick is ``integers`` (``Generator.integers(0, n)``) and
+    the query-token subset is ``choice`` (``Generator.choice(n, size=k,
+    replace=False)``).
     """
     config.validate()
     if not corpus.articles:
         raise ConfigError("cannot generate sessions over an empty corpus")
-    rng = np.random.default_rng(config.rng_seed + 1)
+    draws = _RawDraws(np.random.default_rng(config.rng_seed + 1).bit_generator)
     ids = [a.article_id for a in corpus.articles]
     by_cluster: dict[int, list[str]] = {}
     for aid in ids:
@@ -199,7 +282,7 @@ def generate_sessions(corpus: SynthCorpus, config: SynthConfig) -> list[SessionE
     click_counts /= click_counts.sum()
     click_cdf = _choice_cdf(click_counts)
     popularity_cdf = _choice_cdf(_zipf_weights(len(ids), config.article_zipf))
-    size_cdfs: dict[int, np.ndarray] = {}
+    size_cdfs: dict[int, list[float]] = {}
     for n_topics in {len(corpus.topics[aid]) for aid in ids}:
         size_weights = np.array(config.query_size_weights[:n_topics], dtype=np.float64)
         if size_weights.sum() <= 0:
@@ -210,25 +293,25 @@ def generate_sessions(corpus: SynthCorpus, config: SynthConfig) -> list[SessionE
         aid: [a for a in by_cluster[corpus.cluster_of[aid]] if a != aid] for aid in ids
     }
 
+    bisect_right, random = bisect.bisect_right, draws.random
     events: list[SessionEvent] = []
     for s in range(config.sessions):
         session_id = f"s{s:07d}"
-        target = ids[int(popularity_cdf.searchsorted(rng.random(), side="right"))]
+        target = ids[bisect_right(popularity_cdf, random())]
         topics = corpus.topics[target]
-        q_size = int(size_cdfs[len(topics)].searchsorted(rng.random(), side="right")) + 1
-        chosen = rng.choice(len(topics), size=q_size, replace=False)
-        query = " ".join(topics[i] for i in chosen)
+        q_size = bisect_right(size_cdfs[len(topics)], random()) + 1
+        query = " ".join(topics[i] for i in draws.choice(len(topics), q_size))
 
-        n_clicks = int(click_cdf.searchsorted(rng.random(), side="right")) + 1
+        n_clicks = bisect_right(click_cdf, random()) + 1
         clicked = [target]
         for _ in range(n_clicks - 1):
-            pool = mates_of[target] if rng.random() < config.same_cluster_bias else ids
+            pool = mates_of[target] if random() < config.same_cluster_bias else ids
             choices = [a for a in pool if a not in clicked]
             if not choices:
                 choices = [a for a in ids if a not in clicked]
             if not choices:
                 break
-            clicked.append(choices[int(rng.integers(0, len(choices)))])
+            clicked.append(choices[draws.integers(len(choices))])
 
         for rank, article_id in enumerate(clicked, start=1):
             events.append(

@@ -1,11 +1,13 @@
 """Reference session generator: the per-call ``rng.choice`` loop, kept verbatim.
 
-``coclick.synth.generate_sessions`` draws from precomputed CDFs instead of
-calling ``Generator.choice`` with a probability vector on every session. Both
-must consume the NumPy bit stream in exactly the same way, so the event log is
-part of the reproducibility contract and this loop is its reference: any
-change to the draw order, the draw calls or the weight normalisation on
-either side shows up as a differing event list. Only meant for valid configs.
+``coclick.synth.generate_sessions`` makes no ``Generator`` call per session:
+it rebuilds ``random``, ``integers(0, n)``, ``choice(n, p=p)`` and
+``choice(n, size=k, replace=False)`` from raw PCG64 words. Both must consume
+the bit stream in exactly the same way, so the event log is part of the
+reproducibility contract and this loop, which calls the ``Generator``
+methods themselves, is its reference: any change to the draw order, the draw
+routines or the weight normalisation on either side shows up as a differing
+event list. Only meant for valid configs.
 """
 
 import numpy as np

@@ -923,6 +923,20 @@ class TestFrontDoorsAgree:
             assert result.paths[f"pred.{backend}"] == tmp_path / pred
             assert (tmp_path / pred).read_bytes() == (workdir / pred).read_bytes(), backend
 
+    def test_run_pipeline_loads_the_test_split_for_explain_and_eval_only(self, monkeypatch, tmp_path):
+        loaded = []
+        load_dataset = coclick.pipeline.load_dataset
+
+        def counting_load(fh):
+            loaded.append(Path(fh.name).name)
+            return load_dataset(fh)
+
+        monkeypatch.setattr(coclick.pipeline, "load_dataset", counting_load)
+        run_pipeline(tmp_path, fixture_config())
+        assert sorted(loaded) == [
+            "dataset.dev.jsonl", "dataset.test.jsonl", "dataset.test.jsonl", "dataset.train.jsonl",
+        ]
+
     def test_cli_eval_writes_the_run_pipeline_metrics(self, workdir, tmp_path):
         result = run_pipeline(tmp_path / "pipeline", fixture_config())
         out = tmp_path / "metrics.csv"

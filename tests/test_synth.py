@@ -2,15 +2,17 @@
 
 import hashlib
 import io
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from oracle_sessions import oracle_sessions
 
 from coclick.base import ConfigError
 from coclick.dataset import load_dataset
 from coclick.logs import ParseStats, parse_log, read_metadata, write_events, write_metadata
-from coclick.synth import SynthConfig, generate_corpus, generate_sessions
+from coclick.synth import SynthConfig, _RawDraws, generate_corpus, generate_sessions
 from coclick.text import word_tokenize
 
 
@@ -193,6 +195,43 @@ class TestSessionDrawStream:
         assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == (
             "9eff0eccf57710da8d75ff3decacea8cdd3c46b78e6479a4470d35769189b586"
         )
+
+
+class TestRawDraws:
+    """``_RawDraws`` against the ``Generator`` calls it replicates, draw by draw."""
+
+    # 2**31 + 1 rejects about half its 32-bit draws, driving Lemire's rejection
+    # loop; 2**32 - 2 is the largest bound on the 32-bit path.
+    BOUNDS = (1, 2, 3, 250, 2**31 + 1, 2**32 - 2)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_interleaved_calls_match_generator(self, seed):
+        plan = random.Random(seed)
+        rng = np.random.default_rng(seed)
+        draws = _RawDraws(np.random.default_rng(seed).bit_generator)
+        for _ in range(400):
+            kind = plan.randrange(3)
+            if kind == 0:
+                assert draws.random() == rng.random()
+            elif kind == 1:
+                n = plan.choice(self.BOUNDS)
+                assert draws.integers(n) == rng.integers(0, n)
+            else:
+                n = plan.choice((1, 2, 3, 4, 6, 31, plan.randint(1, 10_000), 10_000))
+                k = plan.choice((1, n, plan.randint(1, n)))
+                assert draws.choice(n, k) == rng.choice(n, size=k, replace=False).tolist()
+
+
+class TestReplicatedPathBounds:
+    def test_topic_pool_above_floyd_path_is_config_error(self):
+        small_config(topics_per_cluster=10_000).validate()
+        with pytest.raises(ConfigError, match="topics_per_cluster"):
+            small_config(topics_per_cluster=10_001).validate()
+
+    def test_article_count_past_32_bit_lemire_is_config_error(self):
+        small_config(n_articles=2**32 - 2).validate()
+        with pytest.raises(ConfigError, match="n_articles"):
+            small_config(n_articles=2**32 - 1).validate()
 
 
 class TestWeightValidation:
