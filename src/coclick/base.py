@@ -78,6 +78,22 @@ def undecodable_line(exc: UnicodeDecodeError, lines_read: int) -> int:
     return lines_read + 1 + exc.object[: exc.start].count(b"\n")
 
 
+def _object_without_repeats(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A decoded JSON object; ValueError if it names a key twice, where a plain decode keeps the last."""
+    record = dict(pairs)
+    if len(record) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} is repeated")
+            seen.add(key)
+    return record
+
+
+# One decoder for every record: json.loads with a hook builds a decoder per call.
+_decode_record = json.JSONDecoder(object_pairs_hook=_object_without_repeats).decode
+
+
 def read_pair_records(
     fh: Iterable[str], what: str, parse: Callable[[Any], tuple[PairKey, T]], path: str | None = None
 ) -> dict[PairKey, T]:
@@ -86,9 +102,10 @@ def read_pair_records(
     Blank lines are skipped. Each other line is decoded and handed to
     ``parse``, which returns the record's (seed_id, similar_id) key and value
     and raises KeyError, TypeError, ValueError or OverflowError for a bad
-    record. A line that is not UTF-8, not JSON or nested too deep to decode,
-    a bad record and a pair already read each raise :class:`DatasetError`
-    naming the ``what`` record's line, or ``path:line`` when ``path`` is given.
+    record. A line that is not UTF-8, not JSON, nested too deep to decode or
+    holding an object with a repeated key, a bad record and a pair already
+    read each raise :class:`DatasetError` naming the ``what`` record's line,
+    or ``path:line`` when ``path`` is given.
     """
 
     def where(lineno: int) -> str:
@@ -102,7 +119,7 @@ def read_pair_records(
             line = line.strip()
             if not line:
                 continue
-            key, value = parse(json.loads(line))
+            key, value = parse(_decode_record(line))
             if key in records:
                 raise DatasetError(
                     f"duplicate {what} pair {key} at {where(lineno)}, first at {where(first_lines[key])}"

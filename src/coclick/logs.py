@@ -6,17 +6,18 @@ distinct clicked articles is a coclick: the higher-ranked click is the seed,
 the lower-ranked one the similar article. Aggregation reduces coclicks to
 one record per (seed, similar) pair holding a normalized-query -> count map.
 
-Ingest is one streamed pass: ``aggregate_sharded(parse_log(lines))`` holds a
-(rank, article_id) list per (session, query) group, never the events
-themselves, and counts each group's pairs straight into the aggregates.
-With ``flush_sessions=True`` it counts and drops a session's groups as soon
-as the next session starts, so the group map holds one session's clicks
-however long the log; one 8-byte hash per session is kept to spot one that
-shows up again. That needs each session's lines to be contiguous, as
-``sort -s -t$'\\t' -k1,1`` makes them. A repeated hash raises
-:class:`SessionReappeared`, and ``run_ingest`` then logs one warning, seeks
-back to the start and reads the log again holding every group. A log that
-cannot seek, such as a pipe, is read once holding every group.
+Ingest is one streamed pass: ``aggregate_sharded(lines)`` parses each raw
+line by the rule :func:`parse_log` uses, holds a (rank, article_id) list per
+(session, query) group, never the events themselves, and counts each group's
+pairs straight into the aggregates. With ``flush_sessions=True`` it counts
+and drops a session's groups as soon as the next session starts, so the
+group map holds one session's clicks however long the log; one 8-byte hash
+per session is kept to spot one that shows up again. That needs each
+session's lines to be contiguous, as ``sort -s -t$'\\t' -k1,1`` makes them.
+A repeated hash raises :class:`SessionReappeared`, and ``run_ingest`` then
+logs one warning, seeks back to the start and reads the log again holding
+every group. A log that cannot seek, such as a pipe, is read once holding
+every group.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ class PairAggregate:
 # or timestamp that is not an integer, a rank below 1, and an empty query,
 # article id or session id.
 DROP_REASONS = ("field_count", "not_integer", "rank_below_1", "empty_field")
+# What can become of a line that is not parsed: blank lines are skipped untallied.
+_LINE_FATES = ("blank",) + DROP_REASONS
 
 
 @dataclass
@@ -90,6 +93,37 @@ def normalize_query(query: str) -> str:
     return " ".join(query.lower().split())
 
 
+def _parse_line(line: str, drops: dict[str, int]) -> tuple[str, str, int, str, int] | None:
+    """The (session_id, query, rank, article_id, timestamp) of one raw-log line.
+
+    A dropped line gives None and adds one to its reason in ``drops``, a dict
+    over ``"blank"`` and :data:`DROP_REASONS`. The newline is not cut off
+    first: it ends the article id, which is stripped anyway, and it leaves a
+    blank line with one field, so only a line with the wrong field count is
+    looked at for being blank.
+    """
+    fields = line.split("\t")
+    if len(fields) != 5:  # len(RAW_LOG_COLUMNS)
+        drops["field_count" if line.rstrip("\n") else "blank"] += 1
+        return None
+    session_id, ts_text, query, rank_text, article_id = fields
+    query = query.strip()
+    article_id = article_id.strip()
+    try:
+        rank = int(rank_text)
+        timestamp = int(ts_text)
+    except ValueError:
+        drops["not_integer"] += 1
+        return None
+    if rank < 1:
+        drops["rank_below_1"] += 1
+        return None
+    if not query or not article_id or not session_id:
+        drops["empty_field"] += 1
+        return None
+    return session_id, query, rank, article_id, timestamp
+
+
 def parse_log(lines: Iterable[str], stats: ParseStats | None = None) -> Iterator[SessionEvent]:
     """Yield a :class:`SessionEvent` per well-formed TSV line.
 
@@ -100,47 +134,35 @@ def parse_log(lines: Iterable[str], stats: ParseStats | None = None) -> Iterator
     line. A line of a text file that is not UTF-8 raises
     :class:`DatasetError` naming the line.
     """
-    parsed = blank = field_count = not_integer = rank_below_1 = empty_field = 0
-    width = len(RAW_LOG_COLUMNS)
+    drops = dict.fromkeys(_LINE_FATES, 0)
+    parsed = 0
     # Builds each event as a plain tuple of the subclass, skipping the
     # Python-level SessionEvent.__new__ call that otherwise runs per line.
     new_event = tuple.__new__
     try:
         for line in lines:
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != width:
-                if fields == [""]:
-                    blank += 1
-                else:
-                    field_count += 1
-                continue
-            session_id, ts_text, query, rank_text, article_id = fields
-            query = query.strip()
-            article_id = article_id.strip()
-            try:
-                rank = int(rank_text)
-                timestamp = int(ts_text)
-            except ValueError:
-                not_integer += 1
-                continue
-            if rank < 1:
-                rank_below_1 += 1
-                continue
-            if not query or not article_id or not session_id:
-                empty_field += 1
-                continue
-            parsed += 1
-            yield new_event(SessionEvent, (session_id, query, rank, article_id, timestamp))
+            event = _parse_line(line, drops)
+            if event is not None:
+                parsed += 1
+                yield new_event(SessionEvent, event)
     except UnicodeDecodeError as exc:
-        read = parsed + blank + field_count + not_integer + rank_below_1 + empty_field
-        raise DatasetError(f"raw log line {undecodable_line(exc, read)} is not UTF-8: {exc}") from exc
+        raise _not_utf8(exc, parsed, drops) from exc
     finally:
-        if stats is not None:
-            stats.parsed += parsed
-            stats.field_count += field_count
-            stats.not_integer += not_integer
-            stats.rank_below_1 += rank_below_1
-            stats.empty_field += empty_field
+        _add_tallies(stats, parsed, drops)
+
+
+def _not_utf8(exc: UnicodeDecodeError, parsed: int, drops: dict[str, int]) -> DatasetError:
+    """The error naming the raw-log line that ``exc`` failed to decode."""
+    read = parsed + sum(drops.values())
+    return DatasetError(f"raw log line {undecodable_line(exc, read)} is not UTF-8: {exc}")
+
+
+def _add_tallies(stats: ParseStats | None, parsed: int, drops: dict[str, int]) -> None:
+    """Add one pass's line tallies to ``stats``, if given."""
+    if stats is not None:
+        stats.parsed += parsed
+        for reason in DROP_REASONS:
+            setattr(stats, reason, getattr(stats, reason) + drops[reason])
 
 
 def ranked_pairs(clicks: list[Click]) -> list[PairKey]:
@@ -160,7 +182,7 @@ def ranked_pairs(clicks: list[Click]) -> list[PairKey]:
 
 
 class SessionReappeared(Exception):
-    """A session's events resumed after another session's began.
+    """A session's lines resumed after another session's began.
 
     Raised by :func:`aggregate_sharded` with ``flush_sessions=True``, which
     has already counted the session's earlier groups and so cannot go on.
@@ -176,29 +198,32 @@ def _has_repeat(hashes: array) -> bool:
 
 
 def aggregate_sharded(
-    events: Iterable[SessionEvent], *, flush_sessions: bool = False
+    lines: Iterable[str], stats: ParseStats | None = None, *, flush_sessions: bool = False
 ) -> dict[PairKey, PairAggregate]:
-    """Count each (session, query) group's coclicks per pair, in one serial pass.
+    """Parse raw-log ``lines`` and count each (session, query) group's coclicks, in one pass.
 
-    ``events`` is consumed once and may be a generator such as
-    :func:`parse_log`. Each group holds only its (rank, article_id) clicks;
-    :func:`ranked_pairs` gives the pair rule. Each distinct query is
-    normalized once per pass, and every pair counted under it shares that
-    one key string.
+    Each line goes through the rule :func:`parse_log` uses, and its tallies
+    are added to ``stats`` when the pass ends, also when it raises. Each
+    group holds only its (rank, article_id) clicks; :func:`ranked_pairs`
+    gives the pair rule, which is applied inline to a two-click group. Each
+    distinct query is normalized once per pass, and every pair counted under
+    it shares that one key string.
 
-    By default every group is held until ``events`` ends, so groups need not
-    be contiguous and any event order gives exact counts. With
-    ``flush_sessions=True`` a session's groups are counted and dropped when
-    the next session starts, and only ``hash(session_id)`` is kept. The
-    hashes are checked for a repeat whenever their count reaches a power of
-    two and once at the end, so a session that reappears as the i-th run of
-    sessions is caught by the start of run 2i at the latest. A repeat, which
-    may also be a hash collision, closes ``events`` (ending a
-    :func:`parse_log` generator, which adds its tallies once) and raises
-    :class:`SessionReappeared`. Hashes of ``str`` differ per process, so they
-    decide only whether the signal fires, never what is counted.
+    By default every group is held until ``lines`` ends, so groups need not
+    be contiguous and any line order gives exact counts. With
+    ``flush_sessions=True`` a session's groups, keyed by query alone, are
+    counted and dropped when the next session starts, and only
+    ``hash(session_id)`` is kept. The hashes are checked for a repeat
+    whenever their count reaches a power of two and once at the end, so a
+    session that reappears as the i-th run of sessions is caught by the
+    start of run 2i at the latest. A repeat, which may also be a hash
+    collision, raises :class:`SessionReappeared` and leaves ``lines`` open,
+    so that a file can be sought back and read again. Hashes of ``str``
+    differ per process, so they decide only whether the signal fires, never
+    what is counted.
     """
-    groups: defaultdict[tuple[str, str], list[Click]] = defaultdict(list)
+    # Keyed by (session_id, query), or by query alone while one session is held.
+    groups: defaultdict[str | tuple[str, str], list[Click]] = defaultdict(list)
     aggregates: dict[PairKey, PairAggregate] = {}
     # Raw query -> its normalized form. normalize_query is idempotent, so a
     # normalized form is also stored as its own key, and every raw variant
@@ -206,14 +231,23 @@ def aggregate_sharded(
     normalized: dict[str, str] = {}
 
     def count_groups() -> None:
-        for (_, query), clicks in groups.items():
-            if len(clicks) < 2:
+        for key, clicks in groups.items():
+            n = len(clicks)
+            if n < 2:
                 continue
+            query = key if flush_sessions else key[1]
             nq = normalized.get(query)
             if nq is None:
                 nq = normalize_query(query)
                 nq = normalized[query] = normalized.setdefault(nq, nq)
-            for pair in ranked_pairs(clicks):
+            if n == 2:
+                (r1, a1), (r2, a2) = clicks
+                if r1 == r2 or a1 == a2:
+                    continue
+                pairs = ((a1, a2) if r1 < r2 else (a2, a1),)
+            else:
+                pairs = ranked_pairs(clicks)
+            for pair in pairs:
                 agg = aggregates.get(pair)
                 if agg is None:
                     agg = aggregates[pair] = PairAggregate(*pair)
@@ -221,29 +255,43 @@ def aggregate_sharded(
                 counts[nq] = counts.get(nq, 0) + 1
         groups.clear()
 
-    def reappeared() -> SessionReappeared:
-        close = getattr(events, "close", None)
-        if close is not None:
-            close()
-        return SessionReappeared("a session's lines are not contiguous")
-
+    drops = dict.fromkeys(_LINE_FATES, 0)
+    parsed = 0
     current: str | None = None
     session_hashes = array("q")
     next_check = 1
-    for session_id, query, rank, article_id, _ in events:
-        if flush_sessions and session_id != current:
-            count_groups()
-            session_hashes.append(hash(session_id))
-            if len(session_hashes) == next_check:
-                next_check *= 2
-                if _has_repeat(session_hashes):
-                    raise reappeared()
-            current = session_id
-        groups[session_id, query].append((rank, article_id))
+    try:
+        for line in lines:
+            event = _parse_line(line, drops)
+            if event is None:
+                continue
+            parsed += 1
+            session_id, query, rank, article_id, _ = event
+            if flush_sessions:
+                if session_id != current:
+                    count_groups()
+                    session_hashes.append(hash(session_id))
+                    if len(session_hashes) == next_check:
+                        next_check *= 2
+                        if _has_repeat(session_hashes):
+                            raise SessionReappeared("a session's lines are not contiguous")
+                    current = session_id
+                key = query
+            else:
+                key = session_id, query
+            groups[key].append((rank, article_id))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc, parsed, drops) from exc
+    finally:
+        _add_tallies(stats, parsed, drops)
     count_groups()
     if flush_sessions and _has_repeat(session_hashes):
-        raise reappeared()
+        raise SessionReappeared("a session's lines are not contiguous")
     return aggregates
+
+
+# One encoder for every record: json.dumps with an option builds an encoder per call.
+_encode_record = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_aggregates(aggregates: dict[PairKey, PairAggregate], fh: IO[str]) -> None:
@@ -256,7 +304,7 @@ def write_aggregates(aggregates: dict[PairKey, PairAggregate], fh: IO[str]) -> N
             "query_counts": dict(sorted(agg.query_counts.items())),
             "combined_clicks": agg.combined_clicks,
         }
-        fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        fh.write(_encode_record(record) + "\n")
 
 
 def read_aggregates(fh: IO[str]) -> dict[PairKey, PairAggregate]:

@@ -34,7 +34,6 @@ from .logs import (
     ParseStats,
     SessionReappeared,
     aggregate_sharded,
-    parse_log,
     read_aggregates,
     read_metadata,
     write_aggregates,
@@ -44,6 +43,7 @@ from .logs import (
 from .scoring import compute_idf
 from .synth import SynthConfig, generate_corpus, generate_sessions, write_truth
 from .tagger import TokenTagger
+from .logs import parse_log  # noqa: F401  (unused here; perfbench/tracing.py wraps this lookup site)
 from .text import word_tokenize  # noqa: F401  (unused here; perfbench/tracing.py wraps this lookup site)
 
 log = logging.getLogger(__name__)
@@ -161,7 +161,7 @@ def run_ingest(log_path: str | Path, out_path: str | Path) -> tuple[ParseStats, 
     stats = ParseStats()
     with open(log_path, encoding="utf-8") as fh:
         try:
-            aggregates = aggregate_sharded(parse_log(fh, stats), flush_sessions=fh.seekable())
+            aggregates = aggregate_sharded(fh, stats, flush_sessions=fh.seekable())
         except SessionReappeared:
             log.warning(
                 "%s: the log's sessions are not contiguous; reading the log again with every "
@@ -174,7 +174,7 @@ def run_ingest(log_path: str | Path, out_path: str | Path) -> tuple[ParseStats, 
         if aggregates is None:
             fh.seek(0)
             stats = ParseStats()
-            aggregates = aggregate_sharded(parse_log(fh, stats))
+            aggregates = aggregate_sharded(fh, stats)
     with open(out_path, "w", encoding="utf-8") as fh:
         write_aggregates(aggregates, fh)
     return stats, len(aggregates)

@@ -30,7 +30,7 @@ from coclick.evaluate import (
     summarize,
 )
 from coclick.explain import Bm25, HighlightAll, predict_dataset
-from coclick.logs import Article, aggregate_sharded, parse_log
+from coclick.logs import Article, aggregate_sharded
 from coclick.pipeline import benchmark_config, run_pipeline
 from coclick.scoring import IdfTable, compute_idf
 from coclick.tagger import TokenTagger, loss_and_grad
@@ -101,7 +101,7 @@ def test_criterion_3_builder_equivalence():
             lines, raw_articles, p=0.15, cap_fraction=0.40,
             min_clicks=20, min_title_len=7, min_nonzero=3,
         )
-        aggregates = aggregate_sharded(parse_log(lines))
+        aggregates = aggregate_sharded(lines)
         articles = {
             pid: Article(pid, title, abstract)
             for pid, (title, abstract) in raw_articles.items()

@@ -23,7 +23,7 @@ from coclick.dataset import (
     split_dataset,
     write_dataset,
 )
-from coclick.logs import Article, PairAggregate, aggregate_sharded, parse_log
+from coclick.logs import Article, PairAggregate, aggregate_sharded
 from coclick.scoring import compute_idf, max_scaled_softmax
 
 from oracle_builder import oracle_build
@@ -310,7 +310,7 @@ class TestBuilderAgainstOracle:
 
     @staticmethod
     def _run_builder(lines, raw_articles, config):
-        aggregates = aggregate_sharded(parse_log(lines))
+        aggregates = aggregate_sharded(lines)
         articles = {
             pid: Article(pid, title, abstract)
             for pid, (title, abstract) in raw_articles.items()

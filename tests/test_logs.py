@@ -23,6 +23,7 @@ from coclick.logs import (
     aggregate_sharded,
     normalize_query,
     parse_log,
+    ranked_pairs,
     read_aggregates,
     read_metadata,
     write_aggregates,
@@ -34,6 +35,14 @@ from coclick.pipeline import run_ingest
 
 def make_event(session="s1", query="q", rank=1, article="P1", ts=0):
     return SessionEvent(session, query, rank, article, ts)
+
+
+def as_log(events):
+    """``events`` as a raw-log text stream, rendered by write_events."""
+    buf = io.StringIO()
+    write_events(events, buf)
+    buf.seek(0)
+    return buf
 
 
 class TestParseLog:
@@ -85,14 +94,20 @@ class TestParseLog:
     @pytest.mark.parametrize("bad_line", [3, 900])
     def test_non_utf8_line_named(self, bad_line):
         # Line 900 lies past the text file's first decoded chunk; line 2 is
-        # blank, which parse_log does not tally but must still count.
+        # blank, which the line rule does not tally but must still count.
         lines = [f"s{i}\t{i}\tq\t1\tP{i}\n".encode() for i in range(1, 1000)]
         lines[bad_line - 1] = b"s\t0\tq\xff\t1\tP1\n"
         lines[1] = b"\n"
-        stats = ParseStats()
-        with pytest.raises(DatasetError, match=f"raw log line {bad_line} is not UTF-8"):
-            list(parse_log(io.TextIOWrapper(io.BytesIO(b"".join(lines)), encoding="utf-8"), stats))
-        assert stats.parsed < bad_line
+        readers = (
+            lambda fh, stats: list(parse_log(fh, stats)),
+            lambda fh, stats: aggregate_sharded(fh, stats),
+            lambda fh, stats: aggregate_sharded(fh, stats, flush_sessions=True),
+        )
+        for read in readers:
+            stats = ParseStats()
+            with pytest.raises(DatasetError, match=f"raw log line {bad_line} is not UTF-8"):
+                read(io.TextIOWrapper(io.BytesIO(b"".join(lines)), encoding="utf-8"), stats)
+            assert stats.parsed < bad_line
 
     def test_mixed_stream_counts(self):
         lines = [
@@ -121,13 +136,23 @@ class TestParseLog:
             for _ in range(rng.randint(0, 60)):
                 fields = [rng.choice(pieces[k]) for k in ("session", "ts", "query", "rank", "article")]
                 width = rng.choice([5, 5, 5, 5, 1, 3, 4, 6])
-                lines.append("\t".join((fields + ["extra"])[:width]) + rng.choice(["", "\n"]))
+                lines.append("\t".join((fields + ["extra"])[:width]) + rng.choice(["", "\n", "\r\n"]))
             expected = Counter(classify_line(line) for line in lines)
             stats = ParseStats()
             events = list(parse_log(lines, stats))
             assert len(events) == stats.parsed == expected["parsed"]
             assert {r: getattr(stats, r) for r in DROP_REASONS} == {r: expected[r] for r in DROP_REASONS}
             assert stats.malformed == sum(expected[r] for r in DROP_REASONS)
+            # aggregate_sharded parses by the same rule; the flushed pass
+            # needs each session's lines together, which a stable sort gives.
+            kept = [classified_event(line) for line in lines if classify_line(line) == "parsed"]
+            by_session = sorted(lines, key=lambda line: line.split("\t")[0])
+            for flush, log in ((False, lines), (True, by_session)):
+                stats = ParseStats()
+                aggregates = aggregate_sharded(log, stats, flush_sessions=flush)
+                assert {k: v.query_counts for k, v in aggregates.items()} == brute_force_counts(kept)
+                assert stats.parsed == expected["parsed"]
+                assert {r: getattr(stats, r) for r in DROP_REASONS} == {r: expected[r] for r in DROP_REASONS}
 
 
 def classify_line(line):
@@ -150,9 +175,15 @@ def classify_line(line):
     return "parsed"
 
 
+def classified_event(line):
+    """The event of a line that classify_line calls 'parsed'."""
+    session, ts, query, rank, article = line.rstrip("\n").split("\t")
+    return SessionEvent(session, query.strip(), int(rank), article.strip(), int(ts))
+
+
 def pair_counts(events):
     """The streamed aggregates of ``events`` as {(seed, similar): query_counts}."""
-    return {key: agg.query_counts for key, agg in aggregate_sharded(events).items()}
+    return {key: agg.query_counts for key, agg in aggregate_sharded(as_log(events)).items()}
 
 
 class TestExtractCoclicks:
@@ -238,7 +269,7 @@ class TestAggregation:
             for i, query in enumerate(["covid"] * 3 + ["vaccine"])
             for rank, article in ((1, "P1"), (2, "P2"))
         ]
-        agg = aggregate_sharded(events)
+        agg = aggregate_sharded(as_log(events))
         assert agg[("P1", "P2")].query_counts == {"covid": 3, "vaccine": 1}
         assert agg[("P1", "P2")].combined_clicks == 4
 
@@ -253,6 +284,26 @@ class TestAggregation:
 
     def test_empty_instances(self):
         assert aggregate_sharded([]) == {}
+        assert aggregate_sharded([], flush_sessions=True) == {}
+
+    def test_two_click_groups_match_ranked_pairs(self):
+        # Two-click groups are counted without ranked_pairs; ranks and
+        # articles are drawn from small sets so that equal ranks and a
+        # repeated article both come up.
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(40):
+            groups = [[(rng.randint(1, 3), rng.choice("PQR")) for _ in range(2)] for _ in range(30)]
+            expected = {}
+            for group in groups:
+                seen.add((group[0][0] == group[1][0], group[0][1] == group[1][1]))
+                for pair in ranked_pairs(group):
+                    expected.setdefault(pair, {"q": 0})["q"] += 1
+            lines = [f"s{i}\t0\tq\t{r}\t{a}\n" for i, group in enumerate(groups) for r, a in group]
+            for flush in (False, True):
+                got = aggregate_sharded(lines, flush_sessions=flush)
+                assert {k: v.query_counts for k, v in got.items()} == expected
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def random_events(rng, n):
@@ -299,7 +350,8 @@ class TestMergeProperties:
         for _ in range(20):
             events = random_events(rng, rng.randint(0, 100))
             expected = brute_force_counts(events)
-            for stream in (events, iter(events)):
+            lines = as_log(events).readlines()
+            for stream in (lines, iter(lines)):
                 got = aggregate_sharded(stream)
                 assert {k: v.query_counts for k, v in got.items()} == expected
 
@@ -307,7 +359,7 @@ class TestMergeProperties:
         rng = random.Random(17)
         events = random_events(rng, 80)
         expected = brute_force_counts(events)
-        agg = aggregate_sharded(events)
+        agg = aggregate_sharded(as_log(events))
         assert set(agg) == set(expected)
         for key, pair_agg in agg.items():
             assert pair_agg.combined_clicks == sum(expected[key].values())
@@ -341,23 +393,26 @@ class TestSessionFlush:
         rng = random.Random(11)
         for _ in range(20):
             events = sorted(random_events(rng, rng.randint(0, 100)), key=lambda e: e.session_id)
-            got = aggregate_sharded(iter(events), flush_sessions=True)
+            got = aggregate_sharded(as_log(events), flush_sessions=True)
             assert {k: v.query_counts for k, v in got.items()} == brute_force_counts(events)
 
-    def test_reappearing_session_closes_the_stream_then_signals(self):
+    def test_reappearing_session_signals_and_leaves_the_stream_open(self):
         # Session a comes back as the third run of sessions. The hashes are
         # checked when the fourth run (c) starts, so the signal fires there,
-        # before d is read.
-        lines = [
-            "a\t1\tq\t1\tP1", "a\t2\tq\t2\tP2", "b\t3\tq\t1\tP1", "bad", "a\t4\tq\t3\tP3",
-            "c\t5\tq\t1\tP1", "d\t6\tq\t1\tP1",
-        ]
+        # before d is read. The tallies are added once, and the stream stays
+        # open for the re-read.
+        fh = io.StringIO(
+            "a\t1\tq\t1\tP1\na\t2\tq\t2\tP2\nb\t3\tq\t1\tP1\nbad\na\t4\tq\t3\tP3\n"
+            "c\t5\tq\t1\tP1\nd\t6\tq\t1\tP1\n"
+        )
         stats = ParseStats()
-        stream = parse_log(lines, stats)
         with pytest.raises(SessionReappeared):
-            aggregate_sharded(stream, flush_sessions=True)
-        assert stream.gi_frame is None
+            aggregate_sharded(fh, stats, flush_sessions=True)
         assert (stats.parsed, stats.malformed) == (5, 1)
+        assert fh.readline() == "d\t6\tq\t1\tP1\n"
+        fh.seek(0)
+        assert set(aggregate_sharded(fh, stats)) == {("P1", "P2"), ("P1", "P3"), ("P2", "P3")}
+        assert (stats.parsed, stats.malformed) == (5 + 6, 1 + 1)
 
     @pytest.mark.parametrize("reappears_at", [3, 4, 5, 8, 9, 13, 16, 17, 31, 40])
     @pytest.mark.parametrize("runs", [40, 70])
@@ -382,10 +437,8 @@ class TestSessionFlush:
                 yield line
 
         stats = ParseStats()
-        stream = parse_log(counted(), stats)
         with pytest.raises(SessionReappeared):
-            aggregate_sharded(stream, flush_sessions=True)
-        assert stream.gi_frame is None
+            aggregate_sharded(counted(), stats, flush_sessions=True)
         assert stats.parsed + stats.malformed == consumed
         latest = first_line_of_run[2 * reappears_at] + 1 if 2 * reappears_at <= runs else len(lines)
         assert consumed <= latest
@@ -454,18 +507,18 @@ class TestSessionFlush:
     def test_flushed_pass_holds_one_session(self):
         articles = [f"P{k}" for k in range(5)]
 
-        def events(sessions=80_000):
+        def lines(sessions=80_000):
             # A session-sorted log: two or three clicks per session.
             for i in range(sessions):
                 session = f"s{i:06d}"
                 for rank in range(1, 3 + i % 2):
-                    yield SessionEvent(session, "q", rank, articles[(i + rank) % 5], 0)
+                    yield f"{session}\t0\tq\t{rank}\t{articles[(i + rank) % 5]}\n"
 
         peaks, counts = {}, {}
         for flush in (False, True):
             tracemalloc.start()
             try:
-                aggregates = aggregate_sharded(events(), flush_sessions=flush)
+                aggregates = aggregate_sharded(lines(), flush_sessions=flush)
                 peaks[flush] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -489,7 +542,7 @@ class TestSessionFlush:
         log_path.write_text("".join(lines), encoding="utf-8")
         peaks = {}
         for name, run in (
-            ("hold_all", lambda: aggregate_sharded(parse_log(lines))),
+            ("hold_all", lambda: aggregate_sharded(lines)),
             ("ingest", lambda: run_ingest(log_path, tmp_path / "agg.jsonl")),
         ):
             tracemalloc.start()

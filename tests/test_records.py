@@ -195,3 +195,21 @@ def test_mutant_gives_parent_answer_or_dataset_error(kind, fuzz, tmp_path):
         assert fuzz in ("nan_inf", "huge_int"), f"{fuzz} mutant read without error: {bad!r}"
         row = sum(1 for line in lines[:k] if line.strip())
         assert read(kind, data, tmp_path) == parent[:row] + alone + parent[row + 1:]
+
+
+@pytest.mark.parametrize(
+    "kind, bad, key",
+    [
+        ("aggregates", '{"seed_id": "a", "seed_id": "b", "similar_id": "c", "query_counts": {"q": 1}, '
+         '"combined_clicks": 1}', "seed_id"),
+        ("dataset", '{"seed_id": "a", "similar_id": "c", "similar_title": "x y", "similar_title": "z", '
+         '"seed_title": "t", "token_counts": {}, "combined_clicks": 0, "gold_tokens": []}', "similar_title"),
+        ("aggregates", '{"seed_id": "a", "similar_id": "c", "query_counts": {"q": 1, "r": 2, "q": 3}, '
+         '"combined_clicks": 6}', "q"),
+    ],
+)
+def test_repeated_key_names_the_line(kind, bad, key, tmp_path):
+    # A plain JSON decode keeps the last value of a repeated key; the readers refuse the line.
+    good = json.dumps(READERS[kind][0](random.Random(0), "P1", "P2"))
+    with pytest.raises(DatasetError, match=f"record at line 2: key {key!r} is repeated"):
+        read(kind, f"{good}\n{bad}\n".encode("utf-8"), tmp_path)
