@@ -6,18 +6,8 @@ distinct clicked articles is a coclick: the higher-ranked click is the seed,
 the lower-ranked one the similar article. Aggregation reduces coclicks to
 one record per (seed, similar) pair holding a normalized-query -> count map.
 
-Ingest is one streamed pass: ``aggregate_sharded(lines)`` parses each raw
-line by the rule :func:`parse_log` uses, holds a (rank, article_id) list per
-(session, query) group, never the events themselves, and counts each group's
-pairs straight into the aggregates. With ``flush_sessions=True`` it counts
-and drops a session's groups as soon as the next session starts, so the
-group map holds one session's clicks however long the log; one 8-byte hash
-per session is kept to spot one that shows up again. That needs each
-session's lines to be contiguous, as ``sort -s -t$'\\t' -k1,1`` makes them.
-A repeated hash raises :class:`SessionReappeared`, and ``run_ingest`` then
-logs one warning, seeks back to the start and reads the log again holding
-every group. A log that cannot seek, such as a pipe, is read once holding
-every group.
+Ingest is one streamed pass, :func:`aggregate_sharded`, holding one session
+at a time; :func:`sorted_by_session` makes a log's sessions contiguous.
 """
 
 from __future__ import annotations
@@ -146,15 +136,14 @@ def parse_log(lines: Iterable[str], stats: ParseStats | None = None) -> Iterator
                 parsed += 1
                 yield new_event(SessionEvent, event)
     except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, parsed, drops) from exc
+        raise _not_utf8(exc, parsed + sum(drops.values())) from exc
     finally:
         _add_tallies(stats, parsed, drops)
 
 
-def _not_utf8(exc: UnicodeDecodeError, parsed: int, drops: dict[str, int]) -> DatasetError:
-    """The error naming the raw-log line that ``exc`` failed to decode."""
-    read = parsed + sum(drops.values())
-    return DatasetError(f"raw log line {undecodable_line(exc, read)} is not UTF-8: {exc}")
+def _not_utf8(exc: UnicodeDecodeError, lines_read: int) -> DatasetError:
+    """The error naming the raw-log line that ``exc`` failed to decode after ``lines_read`` lines."""
+    return DatasetError(f"raw log line {undecodable_line(exc, lines_read)} is not UTF-8: {exc}")
 
 
 def _add_tallies(stats: ParseStats | None, parsed: int, drops: dict[str, int]) -> None:
@@ -184,11 +173,26 @@ def ranked_pairs(clicks: list[Click]) -> list[PairKey]:
 class SessionReappeared(Exception):
     """A session's lines resumed after another session's began.
 
-    Raised by :func:`aggregate_sharded` with ``flush_sessions=True``, which
-    has already counted the session's earlier groups and so cannot go on.
-    The pass keeps only a hash per session, so the signal cannot name the
-    session, and a 64-bit hash collision between two sessions raises it too.
+    Raised by :func:`aggregate_sharded`, which has already counted the
+    session's earlier groups. Only a hash per session is kept, so the signal
+    cannot name the session, and a 64-bit hash collision can raise it too.
     """
+
+
+def sorted_by_session(lines: Iterable[str]) -> list[str]:
+    """Every raw-log line, stably sorted by its first field, the session id.
+
+    Blank and malformed lines are kept, so a pass tallies them as before. A
+    line that is not UTF-8 raises :class:`DatasetError` naming it in ``lines``.
+    """
+    held: list[str] = []
+    try:
+        # extend keeps the lines read before an error, which place the bad one.
+        held.extend(lines)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc, len(held)) from exc
+    held.sort(key=lambda line: line.partition("\t")[0])
+    return held
 
 
 def _has_repeat(hashes: array) -> bool:
@@ -197,9 +201,7 @@ def _has_repeat(hashes: array) -> bool:
     return bool((ordered[1:] == ordered[:-1]).any())
 
 
-def aggregate_sharded(
-    lines: Iterable[str], stats: ParseStats | None = None, *, flush_sessions: bool = False
-) -> dict[PairKey, PairAggregate]:
+def aggregate_sharded(lines: Iterable[str], stats: ParseStats | None = None) -> dict[PairKey, PairAggregate]:
     """Parse raw-log ``lines`` and count each (session, query) group's coclicks, in one pass.
 
     Each line goes through the rule :func:`parse_log` uses, and its tallies
@@ -209,21 +211,17 @@ def aggregate_sharded(
     distinct query is normalized once per pass, and every pair counted under
     it shares that one key string.
 
-    By default every group is held until ``lines`` ends, so groups need not
-    be contiguous and any line order gives exact counts. With
-    ``flush_sessions=True`` a session's groups, keyed by query alone, are
-    counted and dropped when the next session starts, and only
-    ``hash(session_id)`` is kept. The hashes are checked for a repeat
-    whenever their count reaches a power of two and once at the end, so a
-    session that reappears as the i-th run of sessions is caught by the
-    start of run 2i at the latest. A repeat, which may also be a hash
-    collision, raises :class:`SessionReappeared` and leaves ``lines`` open,
-    so that a file can be sought back and read again. Hashes of ``str``
-    differ per process, so they decide only whether the signal fires, never
-    what is counted.
+    Each session's lines must be contiguous, as :func:`sorted_by_session`
+    makes them: a session's groups, keyed by query, are counted and dropped
+    when the next session starts, and only ``hash(session_id)`` is kept.
+    Once an id fails to ascend strictly, the hashes are checked for a repeat
+    at each power-of-two count and at the end, so a session that reappears
+    as the i-th run of sessions is caught by the start of run 2i. A repeat,
+    which may be a hash collision, raises :class:`SessionReappeared` and
+    leaves ``lines`` open for a re-read. Sorted ids always ascend, so the
+    per-process hashes never decide what is counted.
     """
-    # Keyed by (session_id, query), or by query alone while one session is held.
-    groups: defaultdict[str | tuple[str, str], list[Click]] = defaultdict(list)
+    groups: defaultdict[str, list[Click]] = defaultdict(list)
     aggregates: dict[PairKey, PairAggregate] = {}
     # Raw query -> its normalized form. normalize_query is idempotent, so a
     # normalized form is also stored as its own key, and every raw variant
@@ -231,11 +229,10 @@ def aggregate_sharded(
     normalized: dict[str, str] = {}
 
     def count_groups() -> None:
-        for key, clicks in groups.items():
+        for query, clicks in groups.items():
             n = len(clicks)
             if n < 2:
                 continue
-            query = key if flush_sessions else key[1]
             nq = normalized.get(query)
             if nq is None:
                 nq = normalize_query(query)
@@ -257,9 +254,10 @@ def aggregate_sharded(
 
     drops = dict.fromkeys(_LINE_FATES, 0)
     parsed = 0
-    current: str | None = None
+    # A parsed session id is never empty, so the first one ascends from "".
+    current = ""
+    ascending = True
     session_hashes = array("q")
-    next_check = 1
     try:
         for line in lines:
             event = _parse_line(line, drops)
@@ -267,25 +265,21 @@ def aggregate_sharded(
                 continue
             parsed += 1
             session_id, query, rank, article_id, _ = event
-            if flush_sessions:
-                if session_id != current:
-                    count_groups()
-                    session_hashes.append(hash(session_id))
-                    if len(session_hashes) == next_check:
-                        next_check *= 2
-                        if _has_repeat(session_hashes):
-                            raise SessionReappeared("a session's lines are not contiguous")
-                    current = session_id
-                key = query
-            else:
-                key = session_id, query
-            groups[key].append((rank, article_id))
+            if session_id != current:
+                count_groups()
+                ascending = ascending and session_id > current
+                session_hashes.append(hash(session_id))
+                n = len(session_hashes)
+                if not ascending and n & (n - 1) == 0 and _has_repeat(session_hashes):
+                    raise SessionReappeared("a session's lines are not contiguous")
+                current = session_id
+            groups[query].append((rank, article_id))
     except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, parsed, drops) from exc
+        raise _not_utf8(exc, parsed + sum(drops.values())) from exc
     finally:
         _add_tallies(stats, parsed, drops)
     count_groups()
-    if flush_sessions and _has_repeat(session_hashes):
+    if not ascending and _has_repeat(session_hashes):
         raise SessionReappeared("a session's lines are not contiguous")
     return aggregates
 

@@ -36,6 +36,7 @@ from .logs import (
     aggregate_sharded,
     read_aggregates,
     read_metadata,
+    sorted_by_session,
     write_aggregates,
     write_events,
     write_metadata,
@@ -150,22 +151,20 @@ def run_synth(out_dir: str | Path, config: SynthConfig) -> tuple[int, int]:
 def run_ingest(log_path: str | Path, out_path: str | Path) -> tuple[ParseStats, int]:
     """Stream the raw log into pair aggregates; returns the parse tallies and pair count.
 
-    The log is opened once. If it can seek, each session's coclicks are
-    counted when the session ends, so only one session's clicks and one hash
-    per session are held; should a session's lines not be contiguous (or two
-    session ids share a hash), one warning is logged and the log is read
-    again from the start holding every (session, query) group until the end.
-    Either pass writes the same aggregates. A log that cannot seek, such as a
-    pipe, is read once holding every group.
+    The log is opened once and counted by :func:`aggregate_sharded`, which
+    holds one session's clicks and one hash per session. If its sessions are
+    not contiguous (or two ids share a hash), one warning is logged and the
+    log is read again, sorted by session in memory; a log that cannot seek,
+    such as a pipe, is sorted so at once. Every path writes the same aggregates.
     """
     stats = ParseStats()
     with open(log_path, encoding="utf-8") as fh:
         try:
-            aggregates = aggregate_sharded(fh, stats, flush_sessions=fh.seekable())
+            aggregates = aggregate_sharded(fh if fh.seekable() else sorted_by_session(fh), stats)
         except SessionReappeared:
             log.warning(
-                "%s: the log's sessions are not contiguous; reading the log again with every "
-                "session held in memory (sort -s -t$'\\t' -k1,1 groups each session's lines)",
+                "%s: the log's sessions are not contiguous; reading the log again and sorting it "
+                "by session in memory (sort -s -t$'\\t' -k1,1 groups each session's lines)",
                 log_path,
             )
             aggregates = None
@@ -174,7 +173,7 @@ def run_ingest(log_path: str | Path, out_path: str | Path) -> tuple[ParseStats, 
         if aggregates is None:
             fh.seek(0)
             stats = ParseStats()
-            aggregates = aggregate_sharded(fh, stats)
+            aggregates = aggregate_sharded(sorted_by_session(fh), stats)
     with open(out_path, "w", encoding="utf-8") as fh:
         write_aggregates(aggregates, fh)
     return stats, len(aggregates)

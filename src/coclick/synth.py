@@ -274,6 +274,7 @@ def generate_sessions(corpus: SynthCorpus, config: SynthConfig) -> list[SessionE
         raise ConfigError("cannot generate sessions over an empty corpus")
     draws = _RawDraws(np.random.default_rng(config.rng_seed + 1).bit_generator)
     ids = [a.article_id for a in corpus.articles]
+    position = {aid: i for i, aid in enumerate(ids)}
     by_cluster: dict[int, list[str]] = {}
     for aid in ids:
         by_cluster.setdefault(corpus.cluster_of[aid], []).append(aid)
@@ -305,13 +306,19 @@ def generate_sessions(corpus: SynthCorpus, config: SynthConfig) -> list[SessionE
         n_clicks = bisect_right(click_cdf, random()) + 1
         clicked = [target]
         for _ in range(n_clicks - 1):
-            pool = mates_of[target] if random() < config.same_cluster_bias else ids
-            choices = [a for a in pool if a not in clicked]
-            if not choices:
-                choices = [a for a in ids if a not in clicked]
-            if not choices:
+            if random() < config.same_cluster_bias:
+                choices = [a for a in mates_of[target] if a not in clicked]
+                if choices:
+                    clicked.append(choices[draws.integers(len(choices))])
+                    continue
+            if len(clicked) == len(ids):
                 break
-            clicked.append(choices[draws.integers(len(choices))])
+            # The k-th unclicked article of ids: k steps past each clicked position at or below it.
+            k = draws.integers(len(ids) - len(clicked))
+            for p in sorted(position[a] for a in clicked):
+                if p <= k:
+                    k += 1
+            clicked.append(ids[k])
 
         for rank, article_id in enumerate(clicked, start=1):
             events.append(

@@ -26,6 +26,7 @@ from coclick.logs import (
     ranked_pairs,
     read_aggregates,
     read_metadata,
+    sorted_by_session,
     write_aggregates,
     write_events,
     write_metadata,
@@ -101,7 +102,7 @@ class TestParseLog:
         readers = (
             lambda fh, stats: list(parse_log(fh, stats)),
             lambda fh, stats: aggregate_sharded(fh, stats),
-            lambda fh, stats: aggregate_sharded(fh, stats, flush_sessions=True),
+            lambda fh, stats: sorted_by_session(fh),
         )
         for read in readers:
             stats = ParseStats()
@@ -143,16 +144,17 @@ class TestParseLog:
             assert len(events) == stats.parsed == expected["parsed"]
             assert {r: getattr(stats, r) for r in DROP_REASONS} == {r: expected[r] for r in DROP_REASONS}
             assert stats.malformed == sum(expected[r] for r in DROP_REASONS)
-            # aggregate_sharded parses by the same rule; the flushed pass
-            # needs each session's lines together, which a stable sort gives.
+            # aggregate_sharded parses by the same rule; it needs each
+            # session's lines together, which sorted_by_session gives while
+            # keeping the blank and malformed lines.
             kept = [classified_event(line) for line in lines if classify_line(line) == "parsed"]
-            by_session = sorted(lines, key=lambda line: line.split("\t")[0])
-            for flush, log in ((False, lines), (True, by_session)):
-                stats = ParseStats()
-                aggregates = aggregate_sharded(log, stats, flush_sessions=flush)
-                assert {k: v.query_counts for k, v in aggregates.items()} == brute_force_counts(kept)
-                assert stats.parsed == expected["parsed"]
-                assert {r: getattr(stats, r) for r in DROP_REASONS} == {r: expected[r] for r in DROP_REASONS}
+            by_session = sorted_by_session(lines)
+            assert by_session == sorted(lines, key=lambda line: line.split("\t")[0])
+            stats = ParseStats()
+            aggregates = aggregate_sharded(by_session, stats)
+            assert {k: v.query_counts for k, v in aggregates.items()} == brute_force_counts(kept)
+            assert stats.parsed == expected["parsed"]
+            assert {r: getattr(stats, r) for r in DROP_REASONS} == {r: expected[r] for r in DROP_REASONS}
 
 
 def classify_line(line):
@@ -182,8 +184,8 @@ def classified_event(line):
 
 
 def pair_counts(events):
-    """The streamed aggregates of ``events`` as {(seed, similar): query_counts}."""
-    return {key: agg.query_counts for key, agg in aggregate_sharded(as_log(events)).items()}
+    """The streamed aggregates of ``events``, in any session order, as {(seed, similar): query_counts}."""
+    return {key: agg.query_counts for key, agg in aggregate_sharded(sorted_by_session(as_log(events))).items()}
 
 
 class TestExtractCoclicks:
@@ -284,7 +286,7 @@ class TestAggregation:
 
     def test_empty_instances(self):
         assert aggregate_sharded([]) == {}
-        assert aggregate_sharded([], flush_sessions=True) == {}
+        assert sorted_by_session([]) == []
 
     def test_two_click_groups_match_ranked_pairs(self):
         # Two-click groups are counted without ranked_pairs; ranks and
@@ -300,9 +302,8 @@ class TestAggregation:
                 for pair in ranked_pairs(group):
                     expected.setdefault(pair, {"q": 0})["q"] += 1
             lines = [f"s{i}\t0\tq\t{r}\t{a}\n" for i, group in enumerate(groups) for r, a in group]
-            for flush in (False, True):
-                got = aggregate_sharded(lines, flush_sessions=flush)
-                assert {k: v.query_counts for k, v in got.items()} == expected
+            got = aggregate_sharded(lines)
+            assert {k: v.query_counts for k, v in got.items()} == expected
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
@@ -344,22 +345,22 @@ def brute_force_counts(events):
 
 class TestMergeProperties:
     def test_sharded_aggregate_matches_brute_force_recount(self):
-        # random_events interleaves sessions, so no group is contiguous; the
-        # one-shot iterator checks that a single streamed pass suffices.
+        # random_events interleaves sessions, so no group is contiguous
+        # until sorted; the one-shot iterator checks that one read suffices.
         rng = random.Random(5)
         for _ in range(20):
             events = random_events(rng, rng.randint(0, 100))
             expected = brute_force_counts(events)
             lines = as_log(events).readlines()
             for stream in (lines, iter(lines)):
-                got = aggregate_sharded(stream)
+                got = aggregate_sharded(sorted_by_session(stream))
                 assert {k: v.query_counts for k, v in got.items()} == expected
 
     def test_combined_clicks_equals_instance_count(self):
         rng = random.Random(17)
         events = random_events(rng, 80)
         expected = brute_force_counts(events)
-        agg = aggregate_sharded(as_log(events))
+        agg = aggregate_sharded(sorted_by_session(as_log(events)))
         assert set(agg) == set(expected)
         for key, pair_agg in agg.items():
             assert pair_agg.combined_clicks == sum(expected[key].values())
@@ -393,25 +394,25 @@ class TestSessionFlush:
         rng = random.Random(11)
         for _ in range(20):
             events = sorted(random_events(rng, rng.randint(0, 100)), key=lambda e: e.session_id)
-            got = aggregate_sharded(as_log(events), flush_sessions=True)
+            got = aggregate_sharded(as_log(events))
             assert {k: v.query_counts for k, v in got.items()} == brute_force_counts(events)
 
     def test_reappearing_session_signals_and_leaves_the_stream_open(self):
         # Session a comes back as the third run of sessions. The hashes are
         # checked when the fourth run (c) starts, so the signal fires there,
         # before d is read. The tallies are added once, and the stream stays
-        # open for the re-read.
+        # open for the sorted re-read.
         fh = io.StringIO(
             "a\t1\tq\t1\tP1\na\t2\tq\t2\tP2\nb\t3\tq\t1\tP1\nbad\na\t4\tq\t3\tP3\n"
             "c\t5\tq\t1\tP1\nd\t6\tq\t1\tP1\n"
         )
         stats = ParseStats()
         with pytest.raises(SessionReappeared):
-            aggregate_sharded(fh, stats, flush_sessions=True)
+            aggregate_sharded(fh, stats)
         assert (stats.parsed, stats.malformed) == (5, 1)
         assert fh.readline() == "d\t6\tq\t1\tP1\n"
         fh.seek(0)
-        assert set(aggregate_sharded(fh, stats)) == {("P1", "P2"), ("P1", "P3"), ("P2", "P3")}
+        assert set(aggregate_sharded(sorted_by_session(fh), stats)) == {("P1", "P2"), ("P1", "P3"), ("P2", "P3")}
         assert (stats.parsed, stats.malformed) == (5 + 6, 1 + 1)
 
     @pytest.mark.parametrize("reappears_at", [3, 4, 5, 8, 9, 13, 16, 17, 31, 40])
@@ -438,23 +439,28 @@ class TestSessionFlush:
 
         stats = ParseStats()
         with pytest.raises(SessionReappeared):
-            aggregate_sharded(counted(), stats, flush_sessions=True)
+            aggregate_sharded(counted(), stats)
         assert stats.parsed + stats.malformed == consumed
         latest = first_line_of_run[2 * reappears_at] + 1 if 2 * reappears_at <= runs else len(lines)
         assert consumed <= latest
 
     def test_every_session_hash_colliding_still_gives_exact_aggregates(self, tmp_path, caplog, monkeypatch):
-        # With one hash for every session id, the first check with two
-        # sessions signals, and the exact hold-all re-read counts the log.
-        lines = sorted(session_log(random.Random(3), 300), key=lambda line: line.split("\t")[0])
+        # With one hash for every session id, a contiguous log whose ids
+        # descend signals at the first check with two sessions, and the
+        # sorted re-read counts it. Ids that ascend, as sorting leaves them,
+        # cannot repeat, so the hashes are never looked at.
+        lines = session_log(random.Random(3), 300)
         stats = ParseStats()
         expected = brute_force_counts(list(parse_log(lines, stats)))
         monkeypatch.setattr(coclick.logs, "hash", lambda session_id: 7, raising=False)
-        with caplog.at_level(logging.WARNING, logger="coclick"):
-            counts, tallies = ingest_counts(tmp_path, "colliding", lines)
-        assert counts == expected
-        assert tallies == (stats.parsed, stats.malformed)
-        assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
+        for name, descending, warnings in (("descending", True, 1), ("ascending", False, 0)):
+            log_lines = sorted(lines, key=lambda line: line.split("\t")[0], reverse=descending)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="coclick"):
+                counts, tallies = ingest_counts(tmp_path, name, log_lines)
+            assert counts == expected
+            assert tallies == (stats.parsed, stats.malformed)
+            assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == warnings, name
 
     def test_ingest_of_shuffled_and_sorted_logs_equals_recount(self, tmp_path, caplog):
         lines = session_log(random.Random(3), 300)
@@ -473,11 +479,21 @@ class TestSessionFlush:
             assert len(records) == warnings, name
         message = records[0].getMessage()
         assert "sessions are not contiguous" in message and "sort -s -t$'\\t' -k1,1" in message
+        assert "sorting it by session in memory" in message
+
+    def test_ingest_of_shuffled_log_without_a_final_newline(self, tmp_path):
+        # Sorting moves the unterminated last line among the others.
+        lines = [line for line in session_log(random.Random(8), 200) if line.count("\t") == 4]
+        random.Random(9).shuffle(lines)
+        ordered = sorted_by_session(lines)
+        lines[-1] = lines[-1].rstrip("\n")
+        assert sorted_by_session(lines)[-1].endswith("\n")
+        assert ingest_counts(tmp_path, "unterminated", lines) == ingest_counts(tmp_path, "sorted", ordered)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_ingest_of_shuffled_log_through_a_pipe_equals_recount(self, tmp_path, caplog):
-        # A pipe cannot be read twice, so the log is read once holding every
-        # group. The log is larger than a pipe's buffer, so a second open
+        # A pipe cannot be read twice, so the log is sorted in memory as it
+        # is read. The log is larger than a pipe's buffer, so a second open
         # would find the writer still writing and read only the rest.
         lines = session_log(random.Random(3), 3000)
         random.Random(4).shuffle(lines)
@@ -504,6 +520,42 @@ class TestSessionFlush:
         assert (got_stats.parsed, got_stats.malformed) == (stats.parsed, stats.malformed)
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_non_utf8_byte_after_a_reappearing_session_is_named(self, tmp_path, caplog, source):
+        # Session s1 comes back as the third run, so a file's flushed pass
+        # signals at the fourth run; the bad byte lies past the first decoded
+        # chunk, so only the sorted re-read meets it. A pipe is sorted at
+        # once. Either way the error names the byte's line in the log as
+        # given, and the log fits in a pipe's buffer.
+        lines = [b"s1\t0\tq\t1\tP1\n", b"s2\t0\tq\t1\tP1\n", b"s1\t0\tq\t2\tP2\n"]
+        lines += [f"t{i:04d}\t{i}\tq\t1\tP{i}\n".encode() for i in range(4, 1001)]
+        lines[899] = b"t\t0\tq\xff\t1\tP1\n"
+        log_path = tmp_path / "raw_log.tsv"
+        writer = None
+        if source == "file":
+            log_path.write_bytes(b"".join(lines))
+        elif not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        else:
+            os.mkfifo(log_path)
+
+            def feed():
+                with open(log_path, "wb") as fh:
+                    fh.write(b"".join(lines))
+
+            writer = threading.Thread(target=feed)
+            writer.start()
+        try:
+            with caplog.at_level(logging.WARNING, logger="coclick"):
+                with pytest.raises(DatasetError, match="raw log line 900 is not UTF-8"):
+                    run_ingest(log_path, tmp_path / "agg.jsonl")
+        finally:
+            if writer is not None:
+                writer.join(timeout=30)
+                assert not writer.is_alive()
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == (source == "file")
+
     def test_flushed_pass_holds_one_session(self):
         articles = [f"P{k}" for k in range(5)]
 
@@ -514,21 +566,18 @@ class TestSessionFlush:
                 for rank in range(1, 3 + i % 2):
                     yield f"{session}\t0\tq\t{rank}\t{articles[(i + rank) % 5]}\n"
 
-        peaks, counts = {}, {}
-        for flush in (False, True):
-            tracemalloc.start()
-            try:
-                aggregates = aggregate_sharded(lines(), flush_sessions=flush)
-                peaks[flush] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            counts[flush] = {k: v.query_counts for k, v in aggregates.items()}
-        assert counts[True] == counts[False]
-        assert peaks[True] <= peaks[False] / 2, peaks
-        # One 8-byte hash per finished session, plus a sorted copy while checking.
-        assert peaks[True] <= 32 * 80_000, peaks
+        tracemalloc.start()
+        try:
+            aggregates = aggregate_sharded(lines())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {k: v.query_counts for k, v in aggregates.items()} == brute_force_counts(parse_log(lines()))
+        # One 8-byte hash per finished session; ascending ids never need the
+        # sorted copy that a check for a repeat makes.
+        assert peak <= 32 * 80_000, peak
 
-    def test_fallback_after_a_late_reappearance_peaks_like_one_hold_all_pass(self, tmp_path):
+    def test_fallback_after_a_late_reappearance_peaks_like_one_sorted_pass(self, tmp_path):
         # A session-sorted log whose first line moved last: the flushed pass
         # runs to the end before the fallback, and its session ids and
         # aggregates must be freed before the log is read again.
@@ -540,9 +589,14 @@ class TestSessionFlush:
         lines = lines[1:] + lines[:1]
         log_path = tmp_path / "late.tsv"
         log_path.write_text("".join(lines), encoding="utf-8")
+
+        def sorted_pass():
+            with open(log_path, encoding="utf-8") as fh:
+                return aggregate_sharded(sorted_by_session(fh))
+
         peaks = {}
         for name, run in (
-            ("hold_all", lambda: aggregate_sharded(lines)),
+            ("sorted", sorted_pass),
             ("ingest", lambda: run_ingest(log_path, tmp_path / "agg.jsonl")),
         ):
             tracemalloc.start()
@@ -551,7 +605,7 @@ class TestSessionFlush:
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks["ingest"] <= 1.1 * peaks["hold_all"], peaks
+        assert peaks["ingest"] <= 1.1 * peaks["sorted"], peaks
 
 
 class TestAggregateIO:
