@@ -177,7 +177,8 @@ def build_examples(
 
     Output is sorted by (seed_id, similar_id), so the written dataset does
     not depend on the order of ``aggregates``. Each distinct title and query
-    is tokenized once per call.
+    of a pair with at least ``min_clicks`` clicks is tokenized once per call;
+    the pairs below it are dropped before any tokenizing.
     """
     if config is None:
         config = BuildConfig()
@@ -195,10 +196,16 @@ def build_examples(
         if seed is None or similar is None:
             drop(DROP_MISSING_ARTICLE)
             continue
+        # filter_pair checks min_clicks first as well; checking it here spares
+        # the pairs it drops (most of a log's) their tokenizing and counting.
+        combined = agg.combined_clicks
+        if combined < config.min_clicks:
+            drop(DROP_MIN_CLICKS)
+            continue
         title_tokens = memo[similar.title]
         counts = count_title_token_clicks(agg, title_tokens, memo)
         reason = filter_pair(
-            agg.combined_clicks,
+            combined,
             title_tokens,
             counts,
             config.min_clicks,
@@ -225,7 +232,7 @@ def build_examples(
                 similar_title=similar.title,
                 gold_tokens=gold,
                 token_counts=counts,
-                combined_clicks=agg.combined_clicks,
+                combined_clicks=combined,
                 memo=memo,
             )
         )

@@ -40,7 +40,7 @@ class SessionEvent(NamedTuple):
     timestamp: int
 
 
-@dataclass
+@dataclass(slots=True)
 class PairAggregate:
     """Per-pair map of normalized query -> coclick count."""
 
@@ -308,25 +308,34 @@ def read_aggregates(fh: IO[str]) -> dict[PairKey, PairAggregate]:
     when an id is not a string, a count is not an integer of at least 1, or
     ``combined_clicks`` is not the sum of the counts or is too large for a
     float.
+
+    Every id and query is kept as one string object per distinct value,
+    shared by all the records that name it: each record decodes fresh copies
+    of the same few thousand ids and queries.
     """
-    return read_pair_records(fh, "aggregate", _parse_aggregate)
+    strings: dict[str, str] = {}
+    return read_pair_records(fh, "aggregate", lambda record: _parse_aggregate(record, strings))
 
 
-def _parse_aggregate(record: dict) -> tuple[PairKey, PairAggregate]:
-    key = json_pair_key(record)
+def _parse_aggregate(record: dict, strings: dict[str, str]) -> tuple[PairKey, PairAggregate]:
+    """One record's pair and aggregate, each string swapped for its first copy in ``strings``."""
+    seed_id, similar_id = json_pair_key(record)
+    key = (strings.setdefault(seed_id, seed_id), strings.setdefault(similar_id, similar_id))
     query_counts, combined = record["query_counts"], record["combined_clicks"]
     if not isinstance(query_counts, dict):
         raise TypeError(f"query_counts must be an object, got {query_counts!r}")
+    shared: dict[str, int] = {}
     for query, count in query_counts.items():
         # bool is a subclass of int, but true is no count
         if type(count) is not int or count < 1:
             raise ValueError(f"count {count!r} for query {query!r} is not an integer >= 1")
-    if type(combined) is not int or combined != sum(query_counts.values()):
+        shared[strings.setdefault(query, query)] = count
+    if type(combined) is not int or combined != sum(shared.values()):
         raise ValueError(f"combined_clicks {combined!r} is not the sum of the query counts")
     # The labeler converts each title token's click count, at most combined, to float.
     if combined > sys.float_info.max:
         raise ValueError("combined_clicks is too large for a float")
-    return key, PairAggregate(*key, query_counts)
+    return key, PairAggregate(*key, shared)
 
 
 @dataclass(frozen=True)

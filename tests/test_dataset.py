@@ -437,6 +437,24 @@ class TestTokenizeOnce:
         assert set(titles.values()) | queries <= set(tokenized)
         assert max(tokenized.values()) == 1
 
+    def test_missing_article_outranks_min_clicks(self, tokenized):
+        articles = {"P1": Article("P1", "alpha beta gamma delta eps zeta eta")}
+        aggregates = {("P1", "P9"): PairAggregate("P1", "P9", {"alpha": 1})}
+        examples, drops = build_examples(aggregates, articles, BuildConfig(min_clicks=20))
+        assert examples == []
+        assert drops == {"missing_article": 1}
+
+    def test_pair_below_min_clicks_is_dropped_untokenized(self, tokenized):
+        articles = {
+            "P1": Article("P1", "alpha beta gamma delta eps zeta eta"),
+            "P2": Article("P2", "alpha beta theta iota kappa lam mu"),
+        }
+        aggregates = {("P1", "P2"): PairAggregate("P1", "P2", {"alpha beta": 12, "theta": 7})}
+        examples, drops = build_examples(aggregates, articles, BuildConfig(min_clicks=20))
+        assert examples == []
+        assert drops == {"min_clicks": 1}
+        assert not tokenized
+
     def test_load_tokenizes_each_distinct_text_once_per_call(self, tokenized):
         seed = {"seed_id": "S", "seed_title": "x y", "seed_abstract": "a b c"}
         text = (

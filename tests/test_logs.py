@@ -669,6 +669,22 @@ class TestAggregateIO:
         with pytest.raises(DatasetError, match="duplicate .* line 2, first at line 1"):
             self._read(record, {**record, "query_counts": {"r": 1}})
 
+    def test_records_share_one_string_per_distinct_id_and_query(self):
+        lines = [
+            json.dumps({"seed_id": "P1", "similar_id": "P2", "query_counts": {"covid": 2, "flu": 1},
+                        "combined_clicks": 3}),
+            json.dumps({"seed_id": "P1", "similar_id": "P3", "query_counts": {"covid": 4}, "combined_clicks": 4}),
+        ]
+        loaded = read_aggregates(io.StringIO("".join(line + "\n" for line in lines)))
+        first, second = loaded.values()
+        assert first.seed_id is second.seed_id
+        assert next(iter(first.query_counts)) is next(iter(second.query_counts))
+        for (key, agg), line in zip(loaded.items(), lines):
+            record = json.loads(line)
+            assert key == (record["seed_id"], record["similar_id"]) == (agg.seed_id, agg.similar_id)
+            assert agg.query_counts == record["query_counts"]
+            assert agg.combined_clicks == record["combined_clicks"]
+
 
 class TestTsvFiles:
     def test_repeated_article_id_names_both_lines(self):

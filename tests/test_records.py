@@ -10,7 +10,7 @@ that line. No mutant may raise any other exception.
 import io
 import json
 import random
-from dataclasses import is_dataclass
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -93,7 +93,7 @@ READERS = {
 def canonical(obj):
     """A comparable form of a reader's answer: NaN equals NaN and sets compare sorted."""
     if is_dataclass(obj):
-        return canonical(vars(obj))
+        return canonical({f.name: getattr(obj, f.name) for f in fields(obj)})
     if isinstance(obj, float):
         return repr(obj)
     if isinstance(obj, (set, frozenset)):
