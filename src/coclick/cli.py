@@ -13,9 +13,10 @@ import functools
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .base import CoclickError, ConfigError
+from .base import CoclickError, ConfigError, undecodable_line
 from .dataset import BuildConfig, load_dataset
 from .explain import (
     SELECTORS,
@@ -50,7 +51,7 @@ from .report import (
 )
 from .scoring import compute_idf
 from .synth import SynthConfig
-from .tagger import TokenTagger
+from .tagger import HYPERPARAMETERS, TokenTagger
 from .text import positions_of
 
 # Not called here: perfbench/tracing.py wraps these stage functions on
@@ -99,24 +100,29 @@ def build_parser() -> argparse.ArgumentParser:
             help="accepted for compatibility; aggregation is one serial pass whatever its value",
         )
 
+    def knob(p, *flags, **kwargs):
+        # A stage knob has no parser default: a flag left out keeps the default
+        # of the object it configures, and its dest names that object's field.
+        p.add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
+
     p = add_parser("synth", help="generate a synthetic corpus and click log")
     common(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-articles", type=int, default=400)
-    p.add_argument("--cluster-size", type=int, default=4)
-    p.add_argument("--topics-per-cluster", type=int, default=4)
-    p.add_argument("--extra-topic-prob", type=float, default=0.5)
-    p.add_argument("--extra-in-title-prob", type=float, default=0.5)
-    p.add_argument("--filler-vocab", type=int, default=500)
-    p.add_argument("--filler-zipf", type=float, default=1.3)
-    p.add_argument("--stopword-vocab", type=int, default=25)
-    p.add_argument("--title-len", type=_int_triple, default=(7, 25, 19), metavar="MIN,MAX,MODE")
-    p.add_argument("--abstract-len", type=_int_triple, default=(30, 50), metavar="MIN,MAX")
-    p.add_argument("--zipf", type=float, default=1.1, help="article popularity exponent")
-    p.add_argument("--same-cluster-bias", type=float, default=0.9)
-    p.add_argument("--sessions", type=int, default=10000)
-    p.add_argument("--clicks-dist", type=_triple, default=(0.3, 0.5, 0.2), metavar="P1,P2,P3")
-    p.add_argument("--query-sizes", type=_triple, default=(0.1, 0.45, 0.45, 0.0), metavar="P1,P2,P3,P4")
+    knob(p, "--n-articles", type=int)
+    knob(p, "--cluster-size", type=int)
+    knob(p, "--topics-per-cluster", type=int)
+    knob(p, "--extra-topic-prob", type=float)
+    knob(p, "--extra-in-title-prob", type=float)
+    knob(p, "--filler-vocab", type=int)
+    knob(p, "--filler-zipf", type=float)
+    knob(p, "--stopword-vocab", type=int)
+    knob(p, "--title-len", type=_int_triple, metavar="MIN,MAX,MODE")
+    knob(p, "--abstract-len", type=_int_triple, metavar="MIN,MAX")
+    knob(p, "--zipf", type=float, dest="article_zipf", metavar="ZIPF", help="article popularity exponent")
+    knob(p, "--same-cluster-bias", type=float)
+    knob(p, "--sessions", type=int)
+    knob(p, "--clicks-dist", type=_triple, metavar="P1,P2,P3")
+    knob(p, "--query-sizes", type=_triple, dest="query_size_weights", metavar="P1,P2,P3,P4")
     p.set_defaults(func=cmd_synth)
 
     p = add_parser("ingest", help="parse a raw log into pair aggregates")
@@ -130,11 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregates", required=True)
     p.add_argument("--articles", required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--p", type=float, default=0.30, help="gold softmax threshold")
-    p.add_argument("--cap", type=float, default=0.40, help="cap fraction of unique tokens")
-    p.add_argument("--min-clicks", type=int, default=20)
-    p.add_argument("--min-title-len", type=int, default=7)
-    p.add_argument("--min-nonzero", type=int, default=3)
+    knob(p, "--p", type=float, dest="gold_threshold", metavar="P", help="gold softmax threshold")
+    knob(p, "--cap", type=float, dest="cap_fraction", metavar="CAP", help="cap fraction of unique tokens")
+    knob(p, "--min-clicks", type=int)
+    knob(p, "--min-title-len", type=int)
+    knob(p, "--min-nonzero", type=int)
     p.add_argument("--ratios", type=_triple, default=(0.8, 0.1, 0.1), metavar="TRAIN,DEV,TEST")
     p.set_defaults(func=cmd_build)
 
@@ -145,16 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--articles", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--metrics-log", help="CSV training log path")
-    p.add_argument("--lr", type=float, default=5e-3)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--warmup-steps", type=int)
-    p.add_argument("--total-steps", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--eval-every", type=int, default=100)
-    p.add_argument("--decision-threshold", type=float, default=0.5)
-    p.add_argument("--max-len", type=int, default=512)
-    p.add_argument("--merge-seed-features", action="store_true")
+    knob(p, "--lr", type=float)
+    knob(p, "--beta1", type=float)
+    knob(p, "--beta2", type=float)
+    knob(p, "--warmup-steps", type=int)
+    knob(p, "--total-steps", type=int)
+    knob(p, "--batch-size", type=int)
+    knob(p, "--eval-every", type=int)
+    knob(p, "--decision-threshold", type=float)
+    knob(p, "--max-len", type=int)
+    knob(p, "--merge-seed-features", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = add_parser("explain", help="run a backend over a dataset")
@@ -166,19 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["all", "overlap", "bm25", "embed", "external", "tagger"],
     )
-    p.add_argument("--select", choices=SELECTORS, default="topk")
-    p.add_argument(
-        "--k", type=int, help="top-K size (default 3; 4 for --backend external --generative)"
-    )
-    p.add_argument("--p", type=float, default=0.30, help="softmax selection threshold")
-    p.add_argument("--cap", type=float, default=0.40)
+    knob(p, "--select", choices=SELECTORS, dest="selector")
+    knob(p, "--k", type=int, help="top-K size (default 3; 4 for --backend external --generative)")
+    knob(p, "--p", type=float, help="softmax selection threshold")
+    knob(p, "--cap", type=float, dest="cap_fraction", metavar="CAP")
     p.add_argument("--articles", help="metadata TSV for idf/avgdl")
     p.add_argument("--stopwords", help="override the packaged stopword list")
-    p.add_argument("--idf-floor", type=float, default=0.0)
-    p.add_argument("--bm25-use-abstract", action="store_true")
+    knob(p, "--idf-floor", type=float)
+    knob(p, "--bm25-use-abstract", action="store_true", dest="use_abstract")
     p.add_argument("--embeddings", help="word-vector text file for --backend embed")
     p.add_argument("--scores", help="external score JSONL for --backend external")
-    p.add_argument("--generative", action="store_true", help="external scores from a generative model")
+    knob(p, "--generative", action="store_true", help="external scores from a generative model")
     p.add_argument("--checkpoint", help="tagger checkpoint for --backend tagger")
     p.set_defaults(func=cmd_explain)
 
@@ -215,21 +219,26 @@ def _config_flags(path: str) -> list[str]:
     """Turn a key=value file into argv flags (prepended, so real flags win)."""
     flags: list[str] = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"config line is not key=value: {raw.strip()!r}")
-            flag = "--" + key.strip().replace("_", "-")
-            value = value.strip()
-            if value.lower() == "true":
-                flags.append(flag)
-            elif value.lower() == "false":
-                pass  # boolean flags default to false
-            else:
-                flags.extend([flag, value])
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file at once, so no line was read before it.
+            raise ConfigError(f"config line {undecodable_line(exc, 0)} is not UTF-8: {exc}") from exc
+    for raw in text.split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"config line is not key=value: {raw.strip()!r}")
+        flag = "--" + key.strip().replace("_", "-")
+        value = value.strip()
+        if value.lower() == "true":
+            flags.append(flag)
+        elif value.lower() == "false":
+            pass  # boolean flags default to false
+        else:
+            flags.extend([flag, value])
     return flags
 
 
@@ -246,25 +255,13 @@ def _config_path(args: list[str]) -> str | None:
     return None
 
 
+def _given(args, names) -> dict:
+    """The knobs among ``names`` that a flag or --config set, by name."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def cmd_synth(args) -> int:
-    config = SynthConfig(
-        n_articles=args.n_articles,
-        cluster_size=args.cluster_size,
-        topics_per_cluster=args.topics_per_cluster,
-        extra_topic_prob=args.extra_topic_prob,
-        extra_in_title_prob=args.extra_in_title_prob,
-        filler_vocab=args.filler_vocab,
-        filler_zipf=args.filler_zipf,
-        stopword_vocab=args.stopword_vocab,
-        title_len=tuple(args.title_len),
-        abstract_len=tuple(args.abstract_len),
-        article_zipf=args.zipf,
-        same_cluster_bias=args.same_cluster_bias,
-        sessions=args.sessions,
-        clicks_dist=tuple(args.clicks_dist),
-        query_size_weights=tuple(args.query_sizes),
-        rng_seed=args.seed,
-    )
+    config = SynthConfig(rng_seed=args.seed, **_given(args, [f.name for f in fields(SynthConfig)]))
     n_events, n_articles = run_synth(args.out_dir, config)
     print(f"wrote {n_events} events for {n_articles} articles to {Path(args.out_dir)}")
     return 0
@@ -281,13 +278,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_build(args) -> int:
-    config = BuildConfig(
-        gold_threshold=args.p,
-        cap_fraction=args.cap,
-        min_clicks=args.min_clicks,
-        min_title_len=args.min_title_len,
-        min_nonzero=args.min_nonzero,
-    )
+    config = BuildConfig(**_given(args, [f.name for f in fields(BuildConfig)]))
     summary = run_build(args.aggregates, args.articles, args.out_prefix, config, tuple(args.ratios), args.seed)
     for name, path in summary.split_paths.items():
         print(f"{name}: {summary.split_sizes[name]} examples -> {path}")
@@ -297,19 +288,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_train(args) -> int:
-    tagger = TokenTagger(
-        lr=args.lr,
-        beta1=args.beta1,
-        beta2=args.beta2,
-        warmup_steps=args.warmup_steps,
-        total_steps=args.total_steps,
-        batch_size=args.batch_size,
-        rng_seed=args.seed,
-        eval_every=args.eval_every,
-        decision_threshold=args.decision_threshold,
-        merge_seed_features=args.merge_seed_features,
-        max_len=args.max_len,
-    )
+    tagger = TokenTagger(rng_seed=args.seed, **_given(args, HYPERPARAMETERS))
     n_train, n_dev = run_train(
         args.train_path, args.dev_path, args.articles, args.out, args.metrics_log, tagger
     )
@@ -329,21 +308,19 @@ def _build_backend(args):
         if articles is None:
             raise UsageError(f"--backend {backend_name} requires --articles")
 
-    selection = dict(selector=args.select, p=args.p, cap_fraction=args.cap)
-    if args.k is not None:
-        selection["k"] = args.k
+    selection = _given(args, ("selector", "k", "p", "cap_fraction"))
 
     if args.backend == "all":
         return HighlightAll()
     if args.backend == "overlap":
         require_articles("overlap")
-        overlap = Overlapper(stopwords=stopwords, idf_floor=args.idf_floor)
+        overlap = Overlapper(stopwords=stopwords, **_given(args, ("idf_floor",)))
         # Smoothed idf is always above 0, so only a positive floor needs the table.
-        return overlap.fit(title_documents(articles)) if args.idf_floor > 0 else overlap
+        return overlap.fit(title_documents(articles)) if overlap.idf_floor > 0 else overlap
     if args.backend == "bm25":
         require_articles("bm25")
-        docs = corpus_documents(articles) if args.bm25_use_abstract else title_documents(articles)
-        return Bm25(use_abstract=args.bm25_use_abstract, **selection).fit(docs)
+        bm25 = Bm25(**_given(args, ("use_abstract",)), **selection)
+        return bm25.fit(corpus_documents(articles) if bm25.use_abstract else title_documents(articles))
     if args.backend == "embed":
         if not args.embeddings:
             raise UsageError("--backend embed requires --embeddings")
@@ -355,7 +332,7 @@ def _build_backend(args):
             raise UsageError("--backend external requires --scores")
         with open(args.scores, encoding="utf-8") as fh:
             scores = load_external_scores(fh)
-        return ExternalScores(scores, generative=args.generative, **selection)
+        return ExternalScores(scores, **_given(args, ("generative",)), **selection)
     if args.backend == "tagger":
         if not args.checkpoint:
             raise UsageError("--backend tagger requires --checkpoint")

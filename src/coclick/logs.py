@@ -126,15 +126,12 @@ def parse_log(lines: Iterable[str], stats: ParseStats | None = None) -> Iterator
     """
     drops = dict.fromkeys(_LINE_FATES, 0)
     parsed = 0
-    # Builds each event as a plain tuple of the subclass, skipping the
-    # Python-level SessionEvent.__new__ call that otherwise runs per line.
-    new_event = tuple.__new__
     try:
         for line in lines:
             event = _parse_line(line, drops)
             if event is not None:
                 parsed += 1
-                yield new_event(SessionEvent, event)
+                yield SessionEvent(*event)
     except UnicodeDecodeError as exc:
         raise _not_utf8(exc, parsed + sum(drops.values())) from exc
     finally:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
-from .base import CoclickError
+from .base import CoclickError, DatasetError, undecodable_line
 from .dataset import PairExample
 from .logs import PairKey
 from .text import positions_of, word_tokenize
@@ -140,24 +140,38 @@ def write_csv(rows: Sequence[dict[str, str]], fh: IO[str]) -> None:
 
 
 def read_csv(fh: IO[str]) -> list[dict[str, str]]:
-    return list(csv.DictReader(fh))
+    """The rows of a CSV file with a header line; a line that is not UTF-8 raises DatasetError naming it."""
+    reader = csv.DictReader(fh)
+    try:
+        return list(reader)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"CSV line {undecodable_line(exc, reader.line_num)} is not UTF-8: {exc}") from exc
+
+
+def _cell(row: Mapping[str, str | None], column: str, table: str) -> str:
+    """``row[column]``; CoclickError naming the column when the row has no value for it."""
+    value = row.get(column)
+    if value is None:
+        raise CoclickError(f"{table} CSV row lacks the {column!r} column")
+    return value
 
 
 def tally_preferences(
     choices: Sequence[dict[str, str]], key_rows: Sequence[dict[str, str]]
 ) -> dict[str, int]:
     """Fold marked choices (left/right/neutral per instance) back onto model names."""
-    key_by_id = {row["instance_id"]: row for row in key_rows}
+    key_by_id = {_cell(row, "instance_id", "key"): row for row in key_rows}
     tallies: dict[str, int] = {"neutral": 0}
     for row in choices:
-        key = key_by_id.get(row["instance_id"])
+        instance_id = _cell(row, "instance_id", "choices")
+        key = key_by_id.get(instance_id)
         if key is None:
-            raise CoclickError(f"choice for unknown instance {row['instance_id']!r}")
-        choice = row["choice"].strip().lower()
+            raise CoclickError(f"choice for unknown instance {instance_id!r}")
+        choice = _cell(row, "choice", "choices").strip().lower()
         if choice == "neutral":
             tallies["neutral"] += 1
         elif choice in ("left", "right"):
-            model = key["left_model"] if choice == "left" else key["right_model"]
+            model = _cell(key, f"{choice}_model", "key")
             tallies[model] = tallies.get(model, 0) + 1
         else:
             raise CoclickError(f"choice must be left/right/neutral, got {row['choice']!r}")

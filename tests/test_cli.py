@@ -1,6 +1,8 @@
 """End-to-end CLI tests: every subcommand, file formats, exit codes, determinism."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import random
@@ -16,8 +18,17 @@ import coclick.pipeline
 from coclick.base import ConfigError, DatasetError
 from coclick.cli import main
 from coclick.dataset import BuildConfig, write_dataset
-from coclick.pipeline import PipelineConfig, run_eval, run_pipeline
+from coclick.explain import (
+    Bm25,
+    EmbeddingRelevance,
+    ExternalScores,
+    Overlapper,
+    load_embeddings,
+    load_external_scores,
+)
+from coclick.pipeline import BuildSummary, PipelineConfig, run_eval, run_pipeline
 from coclick.synth import SynthConfig
+from coclick.tagger import HYPERPARAMETERS, TokenTagger
 from test_evaluate import make_example
 
 SYNTH_FLAGS = [
@@ -520,6 +531,31 @@ class TestExitCodes:
         assert where in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "choices, key, message",
+        [
+            (b"instance_id,pick\n1,left\n", b"instance_id,left_model,right_model\n1,a,b\n",
+             "choices CSV row lacks the 'choice' column"),
+            (b"instance_id,choice\n1,left\n", b"instance_id,model_a,model_b\n1,a,b\n",
+             "key CSV row lacks the 'left_model' column"),
+            (b"instance_id,choice\n1,left\n2,l\xe9ft\n", b"instance_id,left_model,right_model\n1,a,b\n",
+             "CSV line 3 is not UTF-8"),
+            (b"instance_id,choice\n1,left\n", b"instance_id,left_model,right_model\n1,\xff,b\n",
+             "CSV line 2 is not UTF-8"),
+        ],
+        ids=["choices-without-choice", "key-without-left-model", "choices-not-utf8", "key-not-utf8"],
+    )
+    def test_bad_tally_input_fails_report_without_traceback(self, tmp_path, choices, key, message):
+        (tmp_path / "choices.csv").write_bytes(choices)
+        (tmp_path / "key.csv").write_bytes(key)
+        proc = run_cli(
+            "report", "--kind", "tally", "--choices", tmp_path / "choices.csv", "--key", tmp_path / "key.csv"
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_non_utf8_log_fails_ingest_without_traceback(self, tmp_path):
         log = tmp_path / "raw_log.tsv"
         log.write_bytes(b"s1\t0\tq\t1\tP1\ns1\t1\tq\xff\t2\tP2\n")
@@ -802,11 +838,195 @@ class TestConfigFile:
         assert "unrecognized arguments: --conf" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_non_utf8_config_is_runtime_error_naming_the_line(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"n_articles=12\n# caf\xe9\nsessions=30\n")
+        proc = run_cli("synth", "--out-dir", tmp_path / "w", "--config", config)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: config line 2 is not UTF-8")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "w").exists()
+
     def test_config_equals_form_supplies_defaults(self, tmp_path, capsys):
         config = tmp_path / "synth.cfg"
         config.write_text("n_articles=12\nsessions=30\n", encoding="utf-8")
         assert main(["synth", "--out-dir", str(tmp_path / "w"), f"--config={config}"]) == 0
         assert "for 12 articles" in capsys.readouterr().out
+
+
+# Every knob flag of synth, build, train and explain: (subcommand, flag, the
+# field or parameter it sets, the value written, that value parsed). A value
+# written as None marks a store_true flag.
+KNOBS = [
+    ("synth", "--n-articles", "n_articles", "41", 41),
+    ("synth", "--cluster-size", "cluster_size", "5", 5),
+    ("synth", "--topics-per-cluster", "topics_per_cluster", "6", 6),
+    ("synth", "--extra-topic-prob", "extra_topic_prob", "0.25", 0.25),
+    ("synth", "--extra-in-title-prob", "extra_in_title_prob", "0.75", 0.75),
+    ("synth", "--filler-vocab", "filler_vocab", "501", 501),
+    ("synth", "--filler-zipf", "filler_zipf", "1.5", 1.5),
+    ("synth", "--stopword-vocab", "stopword_vocab", "26", 26),
+    ("synth", "--title-len", "title_len", "8,20,10", (8, 20, 10)),
+    ("synth", "--abstract-len", "abstract_len", "31,40", (31, 40)),
+    ("synth", "--zipf", "article_zipf", "1.2", 1.2),
+    ("synth", "--same-cluster-bias", "same_cluster_bias", "0.8", 0.8),
+    ("synth", "--sessions", "sessions", "11", 11),
+    ("synth", "--clicks-dist", "clicks_dist", "0.2,0.3,0.5", (0.2, 0.3, 0.5)),
+    ("synth", "--query-sizes", "query_size_weights", "0.25,0.25,0.25,0.25", (0.25, 0.25, 0.25, 0.25)),
+    ("build", "--p", "gold_threshold", "0.2", 0.2),
+    ("build", "--cap", "cap_fraction", "0.5", 0.5),
+    ("build", "--min-clicks", "min_clicks", "21", 21),
+    ("build", "--min-title-len", "min_title_len", "8", 8),
+    ("build", "--min-nonzero", "min_nonzero", "4", 4),
+    ("train", "--lr", "lr", "0.01", 0.01),
+    ("train", "--beta1", "beta1", "0.8", 0.8),
+    ("train", "--beta2", "beta2", "0.99", 0.99),
+    ("train", "--warmup-steps", "warmup_steps", "7", 7),
+    ("train", "--total-steps", "total_steps", "30", 30),
+    ("train", "--batch-size", "batch_size", "8", 8),
+    ("train", "--eval-every", "eval_every", "10", 10),
+    ("train", "--decision-threshold", "decision_threshold", "0.6", 0.6),
+    ("train", "--max-len", "max_len", "64", 64),
+    ("train", "--merge-seed-features", "merge_seed_features", None, True),
+    ("explain", "--select", "selector", "softmax", "softmax"),
+    ("explain", "--k", "k", "5", 5),
+    ("explain", "--p", "p", "0.2", 0.2),
+    ("explain", "--cap", "cap_fraction", "0.5", 0.5),
+    ("explain", "--idf-floor", "idf_floor", "0.5", 0.5),
+    ("explain", "--bm25-use-abstract", "use_abstract", None, True),
+    ("explain", "--generative", "generative", None, True),
+]
+
+# The explain backend each knob is checked on; the rest go to bm25.
+KNOB_BACKENDS = {"idf_floor": "overlap", "generative": "external"}
+
+# Each knob as a flag and as a --config key; a store_true knob also as "false".
+KNOB_CASES = [
+    pytest.param(form, *knob, id=f"{knob[0]}{knob[1]}-{form}")
+    for knob in KNOBS
+    for form in ("flag", "config", "config-false")
+    if form != "config-false" or knob[3] is None
+]
+
+
+class TestStageKnobs:
+    """A knob flag left out keeps its object's default; one given sets its own field only."""
+
+    @pytest.fixture
+    def world(self, tmp_path):
+        """Small explain inputs, and the argv without knobs of each subcommand."""
+        articles = tmp_path / "articles.tsv"
+        articles.write_text("A1\tvaccine dose trial\tan abstract\nA2\tdose response\tmore words\n", "utf-8")
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("1 2\ndose 1 0\n", "utf-8")
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(
+            json.dumps({"seed_id": "A1", "similar_id": "A2", "scores": [{"token": "dose", "score": 1.0}]}) + "\n",
+            "utf-8",
+        )
+        explain = [
+            "--dataset", "unused", "--out", "unused", "--articles", str(articles),
+            "--embeddings", str(vectors), "--scores", str(scores),
+        ]
+        return {
+            "synth": ["synth", "--out-dir", str(tmp_path / "w")],
+            "build": ["build", "--aggregates", "a", "--articles", "b", "--out-prefix", "c"],
+            "train": ["train", "--train", "t", "--articles", "a", "--out", "o"],
+            "explain": ["explain", *explain],
+            "scores": scores,
+            "vectors": vectors,
+        }
+
+    @pytest.fixture
+    def handed_on(self, monkeypatch):
+        """What each stage command hands to its stage; no stage runs."""
+        seen = {}
+
+        def run_synth(out_dir, config):
+            seen["synth"] = config
+            return 0, 0
+
+        def run_build(aggregates, articles, out_prefix, config, ratios, seed):
+            seen["build"] = config
+            return BuildSummary(n_pairs=0, drops={}, split_paths={}, split_sizes={})
+
+        def run_train(train, dev, articles, out, metrics_log, tagger):
+            seen["train"] = tagger
+            return 0, 0
+
+        def run_explain(dataset, jobs):
+            ((seen["explain"], _),) = jobs
+            return 0, (0,)
+
+        for stage in (run_synth, run_build, run_train, run_explain):
+            monkeypatch.setattr(coclick.cli, stage.__name__, stage)
+        return seen
+
+    @staticmethod
+    def knob_values(obj):
+        """A config's fields, a tagger's hyperparameters or a backend's settings, by name."""
+        if isinstance(obj, (SynthConfig, BuildConfig)):
+            return dataclasses.asdict(obj)
+        if isinstance(obj, TokenTagger):
+            return {name: getattr(obj, name) for name in HYPERPARAMETERS}
+        return {name: value for name, value in vars(obj).items() if not name.endswith("_")}
+
+    @staticmethod
+    def default_backend(backend, world, **knobs):
+        if backend == "embed":
+            with open(world["vectors"], encoding="utf-8") as fh:
+                return EmbeddingRelevance(load_embeddings(fh), **knobs)
+        if backend == "external":
+            with open(world["scores"], encoding="utf-8") as fh:
+                return ExternalScores(load_external_scores(fh), **knobs)
+        return {"overlap": Overlapper, "bm25": Bm25}[backend](**knobs)
+
+    def test_table_lists_every_knob_flag(self):
+        (subcommands,) = [
+            action.choices for action in coclick.cli.build_parser()._actions if action.dest == "command"
+        ]
+        without_default = {
+            (command, action.option_strings[0])
+            for command, parser in subcommands.items()
+            for action in parser._actions
+            if action.default is argparse.SUPPRESS and action.dest != "help"
+        }
+        assert without_default == {(command, flag) for command, flag, *_ in KNOBS}
+
+    def test_no_knob_flag_builds_the_default_objects(self, world, handed_on):
+        for command in ("synth", "build", "train"):
+            assert main(world[command]) == 0
+        assert handed_on["synth"] == SynthConfig()
+        assert handed_on["build"] == BuildConfig()
+        assert self.knob_values(handed_on["train"]) == self.knob_values(TokenTagger())
+
+    @pytest.mark.parametrize("backend", ["overlap", "bm25", "embed", "external"])
+    def test_no_knob_flag_builds_backends_with_constructor_defaults(self, world, backend):
+        args = coclick.cli.build_parser().parse_args(world["explain"] + ["--backend", backend])
+        built = coclick.cli._build_backend(args)
+        assert self.knob_values(built) == self.knob_values(self.default_backend(backend, world))
+
+    @pytest.mark.parametrize("form, command, flag, field, written, parsed", KNOB_CASES)
+    def test_knob_sets_exactly_its_own_field(
+        self, world, handed_on, tmp_path, form, command, flag, field, written, parsed
+    ):
+        if form == "flag":
+            knob = [flag] if written is None else [flag, written]
+        else:
+            value = {"config": written or "true", "config-false": "false"}[form]
+            config = tmp_path / "knob.cfg"
+            config.write_text(f"{flag[2:].replace('-', '_')}={value}\n", encoding="utf-8")
+            knob = ["--config", str(config)]
+        expected = {field: parsed} if form != "config-false" else {}
+        argv = world[command] + knob
+        if command == "explain":
+            backend = KNOB_BACKENDS.get(field, "bm25")
+            argv += ["--backend", backend]
+            default = self.default_backend(backend, world, **expected)
+        else:
+            default = {"synth": SynthConfig, "build": BuildConfig, "train": TokenTagger}[command](**expected)
+        assert main(argv) == 0
+        assert self.knob_values(handed_on[command]) == self.knob_values(default)
 
 
 class TestSynthWeights:
