@@ -49,7 +49,7 @@ from .logs import (
 )
 from .pipeline import PipelineConfig, benchmark_config, run_pipeline
 from .scoring import IdfTable, compute_idf
-from .synth import SynthConfig, generate_corpus, generate_sessions
+from .synth import SessionLog, SynthConfig, generate_corpus, generate_sessions
 from .tagger import TokenTagger, forward, loss_and_grad
 from .text import WordToken, word_tokenize
 

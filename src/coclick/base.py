@@ -10,6 +10,7 @@ depending on scikit-learn itself.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Callable, Iterable, TypeVar
 
 PairKey = tuple[str, str]
@@ -134,7 +135,9 @@ def read_pair_records(
 
 
 def check_ratios(ratios: tuple[float, ...]) -> None:
-    if any(r < 0 for r in ratios):
-        raise ConfigError(f"split ratios must be non-negative, got {ratios}")
+    if len(ratios) != 3:
+        raise ConfigError(f"split ratios must be 3 numbers (train, dev, test), got {ratios}")
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise ConfigError(f"split ratios must be finite and non-negative, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {ratios}")

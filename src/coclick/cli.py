@@ -17,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .base import CoclickError, ConfigError, undecodable_line
-from .dataset import BuildConfig, load_dataset
+from .dataset import SPLIT_RATIOS, BuildConfig, load_dataset
 from .explain import (
     SELECTORS,
     Bm25,
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     knob(p, "--min-clicks", type=int)
     knob(p, "--min-title-len", type=int)
     knob(p, "--min-nonzero", type=int)
-    p.add_argument("--ratios", type=_triple, default=(0.8, 0.1, 0.1), metavar="TRAIN,DEV,TEST")
+    p.add_argument("--ratios", type=_triple, default=SPLIT_RATIOS, metavar="TRAIN,DEV,TEST")
     p.set_defaults(func=cmd_build)
 
     p = add_parser("train", help="train the token tagger")

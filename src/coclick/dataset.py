@@ -26,6 +26,8 @@ DROP_MIN_NONZERO = "min_nonzero"
 DROP_EMPTY_GOLD = "empty_gold"
 DROP_MISSING_ARTICLE = "missing_article"
 
+SPLIT_RATIOS: tuple[float, float, float] = (0.8, 0.1, 0.1)  # train, dev, test
+
 # The string fields of a dataset row.
 TEXT_FIELDS = ("seed_id", "similar_id", "seed_title", "seed_abstract", "similar_title")
 
@@ -241,7 +243,7 @@ def build_examples(
 
 def split_dataset(
     examples: Sequence[PairExample],
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
+    ratios: tuple[float, float, float] = SPLIT_RATIOS,
     rng_seed: int = 0,
 ) -> dict[str, list[PairExample]]:
     """Partition examples into train/dev/test by seed-article group.

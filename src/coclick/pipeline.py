@@ -19,8 +19,16 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .base import ConfigError
-from .dataset import BuildConfig, build_examples, load_dataset, lower_tokens, split_dataset, write_dataset
+from .base import ConfigError, check_ratios
+from .dataset import (
+    SPLIT_RATIOS,
+    BuildConfig,
+    build_examples,
+    load_dataset,
+    lower_tokens,
+    split_dataset,
+    write_dataset,
+)
 from .evaluate import (
     MetricsRow,
     load_pair_scores,
@@ -57,7 +65,7 @@ class PipelineConfig:
     seed: int = 0
     synth: SynthConfig = field(default_factory=SynthConfig)
     build: BuildConfig = field(default_factory=BuildConfig)
-    split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    split_ratios: tuple[float, float, float] = SPLIT_RATIOS
     tagger_total_steps: int = 1500
     tagger_lr: float = 5e-3
     tagger_batch_size: int = 64
@@ -198,6 +206,7 @@ def run_build(
     seed: int,
 ) -> BuildSummary:
     """Label and filter the aggregates, then write ``<out_prefix>.<split>.jsonl``."""
+    check_ratios(ratios)  # before the inputs are read, not after the labeling
     with open(aggregates_path, encoding="utf-8") as fh:
         aggregates = read_aggregates(fh)
     with open(articles_path, encoding="utf-8") as fh:

@@ -159,11 +159,24 @@ def _cell(row: Mapping[str, str | None], column: str, table: str) -> str:
 def tally_preferences(
     choices: Sequence[dict[str, str]], key_rows: Sequence[dict[str, str]]
 ) -> dict[str, int]:
-    """Fold marked choices (left/right/neutral per instance) back onto model names."""
-    key_by_id = {_cell(row, "instance_id", "key"): row for row in key_rows}
+    """Fold marked choices (left/right/neutral per instance) back onto model names.
+
+    Each instance is counted once: an ``instance_id`` repeated in the key or
+    in the choices raises :class:`CoclickError`.
+    """
+    key_by_id: dict[str, dict[str, str]] = {}
+    for row in key_rows:
+        instance_id = _cell(row, "instance_id", "key")
+        if instance_id in key_by_id:
+            raise CoclickError(f"key lists instance {instance_id!r} twice")
+        key_by_id[instance_id] = row
     tallies: dict[str, int] = {"neutral": 0}
+    chosen: set[str] = set()
     for row in choices:
         instance_id = _cell(row, "instance_id", "choices")
+        if instance_id in chosen:
+            raise CoclickError(f"choices list instance {instance_id!r} twice")
+        chosen.add(instance_id)
         key = key_by_id.get(instance_id)
         if key is None:
             raise CoclickError(f"choice for unknown instance {instance_id!r}")

@@ -19,6 +19,8 @@ from __future__ import annotations
 import bisect
 import json
 import math
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -52,6 +54,12 @@ class SynthConfig:
     rng_seed: int = 0
 
     def validate(self) -> None:
+        if not _ints(self.title_len, 3):
+            raise ConfigError(f"title_len must be 3 ints (min, max, mode), got {self.title_len}")
+        if not (_ints(self.abstract_len, 2) and 1 <= self.abstract_len[0] <= self.abstract_len[1]):
+            raise ConfigError(
+                f"abstract_len must be 2 ints (min, max) with 1 <= min <= max, got {self.abstract_len}"
+            )
         if self.title_len[0] < 7:
             raise ConfigError("minimum title length must be at least 7 tokens")
         if not (self.title_len[0] <= self.title_len[2] <= self.title_len[1]):
@@ -82,6 +90,11 @@ class SynthConfig:
                 "query_size_weights must be finite and non-negative (all zero means uniform), "
                 f"got {self.query_size_weights}"
             )
+
+
+def _ints(values: tuple[int, ...], n: int) -> bool:
+    """Exactly ``n`` entries, each an int."""
+    return len(values) == n and all(isinstance(v, int) for v in values)
 
 
 def _valid_weights(weights: tuple[float, ...]) -> bool:
@@ -252,7 +265,37 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
     return corpus
 
 
-def generate_sessions(corpus: SynthCorpus, config: SynthConfig) -> list[SessionEvent]:
+class SessionLog:
+    """The click log :func:`generate_sessions` draws, held as small-int arrays.
+
+    Per session it keeps the query's index into ``queries`` and the number
+    of clicks (at most 3); per click, the clicked article's position in
+    ``ids``. ``len()`` is the number of clicks. Iterating yields the
+    ``SessionEvent`` rows in draw order, building each one on the way, so the
+    log costs 4 bytes per click and 5 per session rather than a tuple and
+    its strings per click.
+    """
+
+    def __init__(self, ids: list[str]) -> None:
+        self.ids = ids
+        self.queries: list[str] = []
+        self.session_query = array("I")
+        self.session_clicks = array("B")
+        self.click_article = array("I")
+
+    def __len__(self) -> int:
+        return len(self.click_article)
+
+    def __iter__(self) -> Iterator[SessionEvent]:
+        ids, queries = self.ids, self.queries
+        articles = iter(self.click_article)
+        for s, (q, n_clicks) in enumerate(zip(self.session_query, self.session_clicks)):
+            session_id, query = f"s{s:07d}", queries[q]
+            for rank in range(1, n_clicks + 1):
+                yield SessionEvent(session_id, query, rank, ids[next(articles)], s * 10 + rank)
+
+
+def generate_sessions(corpus: SynthCorpus, config: SynthConfig) -> SessionLog:
     """Generate click sessions: a popularity-weighted target plus coclicks.
 
     The target article is always the rank-1 click, so it is the seed of every
@@ -268,6 +311,9 @@ def generate_sessions(corpus: SynthCorpus, config: SynthConfig) -> list[SessionE
     click's uniform pick is ``integers`` (``Generator.integers(0, n)``) and
     the query-token subset is ``choice`` (``Generator.choice(n, size=k,
     replace=False)``).
+
+    The sessions come back as a :class:`SessionLog`, which holds the draws
+    as small ints and builds the ``SessionEvent`` rows only when iterated.
     """
     config.validate()
     if not corpus.articles:
@@ -295,9 +341,9 @@ def generate_sessions(corpus: SynthCorpus, config: SynthConfig) -> list[SessionE
     }
 
     bisect_right, random = bisect.bisect_right, draws.random
-    events: list[SessionEvent] = []
+    log = SessionLog(ids)
+    query_index: dict[str, int] = {}
     for s in range(config.sessions):
-        session_id = f"s{s:07d}"
         target = ids[bisect_right(popularity_cdf, random())]
         topics = corpus.topics[target]
         q_size = bisect_right(size_cdfs[len(topics)], random()) + 1
@@ -320,11 +366,11 @@ def generate_sessions(corpus: SynthCorpus, config: SynthConfig) -> list[SessionE
                     k += 1
             clicked.append(ids[k])
 
-        for rank, article_id in enumerate(clicked, start=1):
-            events.append(
-                SessionEvent(session_id, query, rank, article_id, s * 10 + rank)
-            )
-    return events
+        log.session_query.append(query_index.setdefault(query, len(query_index)))
+        log.session_clicks.append(len(clicked))
+        log.click_article.extend(position[a] for a in clicked)
+    log.queries = list(query_index)
+    return log
 
 
 def write_truth(corpus: SynthCorpus, fh: IO[str]) -> None:

@@ -542,8 +542,15 @@ class TestExitCodes:
              "CSV line 3 is not UTF-8"),
             (b"instance_id,choice\n1,left\n", b"instance_id,left_model,right_model\n1,\xff,b\n",
              "CSV line 2 is not UTF-8"),
+            (b"instance_id,choice\n1,left\n1,left\n", b"instance_id,left_model,right_model\n1,a,b\n",
+             "choices list instance '1' twice"),
+            (b"instance_id,choice\n1,left\n", b"instance_id,left_model,right_model\n1,a,b\n1,b,a\n",
+             "key lists instance '1' twice"),
         ],
-        ids=["choices-without-choice", "key-without-left-model", "choices-not-utf8", "key-not-utf8"],
+        ids=[
+            "choices-without-choice", "key-without-left-model", "choices-not-utf8", "key-not-utf8",
+            "choices-repeat-instance", "key-repeat-instance",
+        ],
     )
     def test_bad_tally_input_fails_report_without_traceback(self, tmp_path, choices, key, message):
         (tmp_path / "choices.csv").write_bytes(choices)
@@ -1037,6 +1044,10 @@ class TestSynthWeights:
             ("--clicks-dist=0,0,0", "clicks_dist"),
             ("--clicks-dist=nan,1,1", "clicks_dist"),
             ("--query-sizes=-1,1,1,1", "query_size_weights"),
+            ("--title-len=9,13", "title_len"),
+            ("--abstract-len=40,30", "abstract_len"),
+            ("--abstract-len=0,30", "abstract_len"),
+            ("--abstract-len=30", "abstract_len"),
         ],
     )
     def test_bad_weights_exit_1_without_traceback(self, tmp_path, flag, field):
@@ -1046,6 +1057,30 @@ class TestSynthWeights:
         assert field in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "w").exists()
+
+
+class TestBuildRatios:
+    @pytest.mark.parametrize(
+        "ratios, message",
+        [
+            ("1", "must be 3 numbers"),
+            ("0.5,0.5", "must be 3 numbers"),
+            ("0.5,0.5,0,0", "must be 3 numbers"),
+            ("nan,0.5,0.5", "finite and non-negative"),
+        ],
+    )
+    def test_bad_ratios_exit_1_before_the_inputs_are_read(self, tmp_path, ratios, message):
+        proc = run_cli(
+            "build",
+            "--aggregates", tmp_path / "missing.jsonl",
+            "--articles", tmp_path / "missing.tsv",
+            "--out-prefix", tmp_path / "data",
+            "--ratios", ratios,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: split ratios ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

@@ -390,6 +390,13 @@ class TestEdgeCases:
         with pytest.raises(ConfigError):
             split_dataset([make_example()], (1.2, -0.1, -0.1), rng_seed=0)
 
+    @pytest.mark.parametrize("ratios", [(1.0,), (0.5, 0.5), (0.5, 0.5, 0.0, 0.0), (math.nan, 0.5, 0.5)])
+    def test_split_ratios_of_wrong_length_or_not_finite_rejected(self, ratios):
+        from coclick.base import ConfigError
+
+        with pytest.raises(ConfigError, match="split ratios"):
+            split_dataset([make_example()], ratios, rng_seed=0)
+
     def test_counts_key_outside_title_rejected(self):
         row = (
             '{"seed_id": "S", "similar_id": "T", "seed_title": "x", "seed_abstract": "",'

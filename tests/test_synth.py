@@ -3,6 +3,7 @@
 import hashlib
 import io
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from oracle_sessions import oracle_sessions
 from coclick.base import ConfigError
 from coclick.dataset import load_dataset
 from coclick.logs import ParseStats, parse_log, read_metadata, write_events, write_metadata
+from coclick.pipeline import benchmark_config
 from coclick.synth import SynthConfig, _RawDraws, generate_corpus, generate_sessions
 from coclick.text import word_tokenize
 
@@ -87,13 +89,42 @@ class TestGenerateCorpus:
         with pytest.raises(ConfigError):
             generate_corpus(small_config(topics_per_cluster=1))
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(title_len=(9, 13)), "title_len"),
+            (dict(title_len=(9, 13, 11, 12)), "title_len"),
+            (dict(title_len=(9.0, 13, 11)), "title_len"),
+            (dict(abstract_len=(30,)), "abstract_len"),
+            (dict(abstract_len=(30, 50, 40)), "abstract_len"),
+            (dict(abstract_len=(40, 30)), "abstract_len"),
+            (dict(abstract_len=(0, 30)), "abstract_len"),
+            (dict(abstract_len=(30, 50.5)), "abstract_len"),
+        ],
+    )
+    def test_length_of_wrong_shape_is_config_error(self, overrides, field):
+        with pytest.raises(ConfigError, match=field):
+            generate_corpus(small_config(**overrides))
+        with pytest.raises(ConfigError, match=field):
+            generate_sessions(generate_corpus(small_config()), small_config(**overrides))
+
 
 class TestGenerateSessions:
     def test_deterministic_per_seed(self):
         corpus = generate_corpus(small_config())
-        a = generate_sessions(corpus, small_config())
-        b = generate_sessions(corpus, small_config())
+        a = list(generate_sessions(corpus, small_config()))
+        b = list(generate_sessions(corpus, small_config()))
         assert a == b
+
+    def test_log_length_is_its_click_count(self):
+        config = small_config()
+        log = generate_sessions(generate_corpus(config), config)
+        assert len(log) == sum(1 for _ in log) > config.sessions
+
+    def test_log_yields_equal_events_on_every_iteration(self):
+        config = small_config()
+        log = generate_sessions(generate_corpus(config), config)
+        assert list(log) == list(log)
 
     def test_query_tokens_come_from_target_topics(self):
         config = small_config()
@@ -139,7 +170,7 @@ class TestGenerateSessions:
     def test_events_round_trip_through_tsv(self):
         config = small_config(sessions=300)
         corpus = generate_corpus(config)
-        events = generate_sessions(corpus, config)
+        events = list(generate_sessions(corpus, config))
         buf = io.StringIO()
         write_events(events, buf)
         buf.seek(0)
@@ -184,7 +215,7 @@ class TestSessionDrawStream:
     def test_matches_per_call_choice_oracle(self, overrides):
         config = small_config(sessions=600, **overrides)
         corpus = generate_corpus(config)
-        assert generate_sessions(corpus, config) == oracle_sessions(corpus, config)
+        assert list(generate_sessions(corpus, config)) == oracle_sessions(corpus, config)
 
     def test_event_log_hash_is_pinned(self):
         config = small_config()
@@ -195,6 +226,21 @@ class TestSessionDrawStream:
         assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == (
             "9eff0eccf57710da8d75ff3decacea8cdd3c46b78e6479a4470d35769189b586"
         )
+
+
+class TestSessionLogMemory:
+    def test_desk_log_holds_under_5_mb(self, benchmark_corpus):
+        # A list of SessionEvent tuples for the desk log holds about 28 MB.
+        config = benchmark_config(42).synth
+        tracemalloc.start()
+        try:
+            log = generate_sessions(benchmark_corpus, config)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 160_991
+        assert live < 5 * 2**20
+        assert peak < 5 * 2**20
 
 
 class TestRawDraws:
