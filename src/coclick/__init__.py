@@ -51,6 +51,6 @@ from .pipeline import PipelineConfig, benchmark_config, run_pipeline
 from .scoring import IdfTable, compute_idf
 from .synth import SessionLog, SynthConfig, generate_corpus, generate_sessions
 from .tagger import TokenTagger, forward, loss_and_grad
-from .text import WordToken, word_tokenize
+from .text import word_tokenize
 
 __version__ = "0.1.0"

@@ -74,6 +74,13 @@ def _int_triple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _pred_pair(text: str) -> tuple[str, str]:
     name, sep, path = text.partition("=")
     if not sep or not name or not path:
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset")
     p.add_argument("--pred", type=_pred_pair, action="append", metavar="NAME=FILE")
     p.add_argument("--format", choices=["plain", "markdown", "html"], default="markdown")
-    p.add_argument("--limit", type=int, default=10)
+    p.add_argument("--limit", type=_count, default=10)
     p.add_argument("--out")
     p.add_argument("--pred-a", type=_pred_pair, metavar="NAME=FILE")
     p.add_argument("--pred-b", type=_pred_pair, metavar="NAME=FILE")

@@ -48,7 +48,7 @@ class TokenClickCounts:
 
 def lower_tokens(text: str) -> list[str]:
     """The lowercase word tokens of ``text``, in order."""
-    return [t.text.lower() for t in word_tokenize(text)]
+    return [t.lower() for t in word_tokenize(text)]
 
 
 class TokenMemo(dict):

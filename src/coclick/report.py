@@ -17,7 +17,7 @@ from typing import IO, Mapping, Sequence
 from .base import CoclickError, DatasetError, undecodable_line
 from .dataset import PairExample
 from .logs import PairKey
-from .text import positions_of, word_tokenize
+from .text import TOKEN, positions_of
 
 FORMATS = {
     "plain": ("[", "]"),
@@ -34,19 +34,19 @@ def render_title(title: str, positions: set[int], fmt: str = "plain") -> str:
         open_mark, close_mark = FORMATS[fmt]
     except KeyError:
         raise CoclickError(f"unknown render format {fmt!r}") from None
-    tokens = word_tokenize(title)
+    matches = list(TOKEN.finditer(title))
     for pos in positions:
-        if pos < 0 or pos >= len(tokens):
+        if pos < 0 or pos >= len(matches):
             raise CoclickError(f"position {pos} out of range for title {title!r}")
     out = []
     cursor = 0
-    for i, tok in enumerate(tokens):
-        out.append(title[cursor : tok.start])
+    for i, m in enumerate(matches):
+        out.append(title[cursor : m.start()])
         if i in positions:
-            out.append(f"{open_mark}{tok.text}{close_mark}")
+            out.append(f"{open_mark}{m.group()}{close_mark}")
         else:
-            out.append(tok.text)
-        cursor = tok.end
+            out.append(m.group())
+        cursor = m.end()
     out.append(title[cursor:])
     return "".join(out)
 

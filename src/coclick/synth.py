@@ -79,6 +79,26 @@ class SynthConfig:
             )
         if self.n_articles >= 2**32 - 1:
             raise ConfigError(f"n_articles must be below 2**32 - 1, got {self.n_articles}")
+        # A title draws up to 2 distinct stopwords and fills with filler words.
+        if self.stopword_vocab < 2:
+            raise ConfigError(f"stopword_vocab must be at least 2, got {self.stopword_vocab}")
+        if self.filler_vocab < 1:
+            raise ConfigError(f"filler_vocab must be at least 1, got {self.filler_vocab}")
+        # Every topic of an article goes into its abstract, and every title
+        # topic into its title, so both minimum lengths must hold the most
+        # topics an article can draw.
+        max_topics = self.topics_per_cluster if self.extra_topic_prob > 0 else 2
+        max_title_topics = max_topics if self.extra_in_title_prob > 0 else 2
+        if self.title_len[0] < max_title_topics:
+            raise ConfigError(
+                f"title_len minimum {self.title_len[0]} cannot hold {max_title_topics} title topics "
+                "(topics_per_cluster, extra_topic_prob, extra_in_title_prob)"
+            )
+        if self.abstract_len[0] < max_topics:
+            raise ConfigError(
+                f"abstract_len minimum {self.abstract_len[0]} cannot hold {max_topics} topics "
+                "(topics_per_cluster, extra_topic_prob)"
+            )
         clicks = self.clicks_dist
         if len(clicks) != 3 or not _valid_weights(clicks) or sum(clicks) <= 0:
             raise ConfigError(
@@ -259,7 +279,7 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
         corpus.articles.append(Article(article_id, title, abstract))
         corpus.topics[article_id] = tuple(topics)
         corpus.cluster_of[article_id] = cluster
-        corpus.title_tokens[article_id] = {t.lower for t in word_tokenize(title)}
+        corpus.title_tokens[article_id] = {t.lower() for t in word_tokenize(title)}
 
     assert len({corpus.cluster_of[a.article_id] for a in corpus.articles}) == n_clusters
     return corpus

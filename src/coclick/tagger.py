@@ -25,7 +25,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .base import DatasetError, TrainingDiverged, check_fitted
+from .base import ConfigError, DatasetError, TrainingDiverged, check_fitted
 from .dataset import PairExample
 from .evaluate import evaluate_predictions
 from .explain import Explainer, load_stopwords
@@ -283,6 +283,9 @@ class TokenTagger(Explainer):
         dev_examples: Sequence[PairExample] | None = None,
         metrics_log: IO[str] | None = None,
     ) -> "TokenTagger":
+        for field, value in (("batch_size", self.batch_size), ("eval_every", self.eval_every)):
+            if value < 1:
+                raise ConfigError(f"{field} must be at least 1, got {value}")
         if not train_examples:
             raise DatasetError("cannot train on an empty dataset")
         idf, stopwords = self._context(train_examples)

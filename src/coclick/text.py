@@ -5,12 +5,16 @@ then peel leading/trailing punctuation into standalone tokens. Hyphenated
 compounds ("low-fat", "Covid-19") stay intact, and internal apostrophes
 survive ("don't"). Both dataset construction and evaluation run through
 this one tokenizer, so the system stays internally consistent.
+
+A token is a plain ``str``; a position is its index in the token list.
+Only title rendering needs character spans, and it reads them from
+``TOKEN.finditer``, the same matches ``word_tokenize`` returns.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 # Punctuation peeled off token edges; internal occurrences are kept.
 EDGE_PUNCT = set(".,;:!?\"'()[]")
@@ -19,39 +23,18 @@ _P = re.escape("".join(sorted(EDGE_PUNCT)))
 # A token is one edge-punctuation character, or the longest whitespace-free
 # run that starts and ends with a character that is not edge punctuation.
 # ``\s`` matches exactly the characters for which ``str.isspace()`` is true.
-_TOKEN = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
+# The group stays non-capturing so that ``findall`` returns whole matches.
+TOKEN = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
 
 
-class WordToken(NamedTuple):
-    """A word-level token with its source span.
-
-    Only title rendering reads the span. Datasets, explainers and metrics
-    keep lowercase token strings, where a position is the list index.
-    """
-
-    text: str
-    start: int
-    end: int
-
-    @property
-    def lower(self) -> str:
-        return self.text.lower()
+def word_tokenize(text: str) -> list[str]:
+    """The word tokens of ``text``, in order, as they appear in it."""
+    return TOKEN.findall(text)
 
 
-def word_tokenize(text: str) -> list[WordToken]:
-    """Tokenize ``text`` into :class:`WordToken` objects.
-
-    Spans index into ``text`` so that ``text[tok.start:tok.end] == tok.text``.
-    """
-    return [WordToken(m.group(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
-
-
-def unique_lower(tokens: Sequence[WordToken]) -> list[str]:
-    """Unique lowercase token texts in first-occurrence order."""
-    seen: dict[str, None] = {}
-    for t in tokens:
-        seen.setdefault(t.lower, None)
-    return list(seen)
+def unique_lower(tokens: Sequence[str]) -> list[str]:
+    """Unique lowercase tokens in first-occurrence order."""
+    return list(dict.fromkeys(t.lower() for t in tokens))
 
 
 def positions_of(tokens: Sequence[str], selected: set[str]) -> set[int]:

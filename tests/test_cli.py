@@ -191,6 +191,31 @@ class TestReportSubcommand:
         assert text.count("pair: ") == 3
         assert "gold: " in text and "tagger: " in text and "**" in text
 
+    def test_negative_limit_is_usage_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "cases.md"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "report", "--kind", "cases",
+                "--dataset", str(workdir / "data.test.jsonl"),
+                "--pred", f"bm25={workdir / 'pred.bm25.jsonl'}",
+                "--limit", "-1",
+                "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert "--limit: must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_limit_renders_no_case(self, workdir, tmp_path):
+        out = tmp_path / "cases.md"
+        assert main([
+            "report", "--kind", "cases",
+            "--dataset", str(workdir / "data.test.jsonl"),
+            "--pred", f"bm25={workdir / 'pred.bm25.jsonl'}",
+            "--limit", "0",
+            "--out", str(out),
+        ]) == 0
+        assert "pair: " not in out.read_text("utf-8")
+
     def test_ab_sheet_key_and_tally(self, workdir, tmp_path):
         sheet = tmp_path / "sheet.csv"
         key = tmp_path / "key.csv"
@@ -1048,6 +1073,9 @@ class TestSynthWeights:
             ("--abstract-len=40,30", "abstract_len"),
             ("--abstract-len=0,30", "abstract_len"),
             ("--abstract-len=30", "abstract_len"),
+            ("--stopword-vocab=1", "stopword_vocab"),
+            ("--stopword-vocab=0", "stopword_vocab"),
+            ("--filler-vocab=0", "filler_vocab"),
         ],
     )
     def test_bad_weights_exit_1_without_traceback(self, tmp_path, flag, field):
@@ -1055,6 +1083,17 @@ class TestSynthWeights:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "w").exists()
+
+    def test_more_title_topics_than_title_length_exit_1_without_traceback(self, tmp_path):
+        proc = run_cli(
+            "synth", "--out-dir", tmp_path / "w", "--n-articles", 8, "--sessions", 5,
+            "--topics-per-cluster", 12, "--extra-topic-prob", 1, "--extra-in-title-prob", 1,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "title_len" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "w").exists()
 
@@ -1155,6 +1194,19 @@ class TestEmptyInputs:
         ])
         assert code == 1
         assert "empty" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flag, field", [("--batch-size", "batch_size"), ("--eval-every", "eval_every")])
+    def test_train_knob_of_zero_fails_cleanly(self, workdir, tmp_path, capsys, flag, field):
+        code = main([
+            "train", "--train", str(workdir / "data.train.jsonl"),
+            "--articles", str(workdir / "articles.tsv"),
+            "--out", str(tmp_path / "ckpt.json"),
+            flag, "0",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {field} must be at least 1, got 0\n"
+        assert not (tmp_path / "ckpt.json").exists()
 
 
 class TestFrontDoorsAgree:

@@ -63,7 +63,7 @@ class TestGenerateCorpus:
         corpus = generate_corpus(small_config())
         for article in corpus.articles:
             core = corpus.topics[article.article_id][:2]
-            abstract_tokens = {t.lower for t in word_tokenize(article.abstract)}
+            abstract_tokens = {t.lower() for t in word_tokenize(article.abstract)}
             for topic in core:
                 assert topic in corpus.title_tokens[article.article_id]
                 assert topic in abstract_tokens
@@ -71,7 +71,7 @@ class TestGenerateCorpus:
     def test_every_topic_in_abstract(self):
         corpus = generate_corpus(small_config())
         for article in corpus.articles:
-            abstract_tokens = {t.lower for t in word_tokenize(article.abstract)}
+            abstract_tokens = {t.lower() for t in word_tokenize(article.abstract)}
             assert set(corpus.topics[article.article_id]) <= abstract_tokens
 
     def test_planted_gold_contains_cluster_core(self):
@@ -107,6 +107,35 @@ class TestGenerateCorpus:
             generate_corpus(small_config(**overrides))
         with pytest.raises(ConfigError, match=field):
             generate_sessions(generate_corpus(small_config()), small_config(**overrides))
+
+    @pytest.mark.parametrize(
+        "fits, too_small, field",
+        [
+            (dict(stopword_vocab=2), dict(stopword_vocab=1), "stopword_vocab"),
+            (dict(filler_vocab=1), dict(filler_vocab=0), "filler_vocab"),
+            # every extra topic drawn and put in the title
+            (
+                dict(topics_per_cluster=9, extra_topic_prob=1.0, extra_in_title_prob=1.0, title_len=(9, 13, 11)),
+                dict(topics_per_cluster=10, extra_topic_prob=1.0, extra_in_title_prob=1.0, title_len=(9, 13, 11)),
+                "title_len",
+            ),
+            # extra topics stay out of the title, but fill the abstract
+            (
+                dict(topics_per_cluster=12, extra_topic_prob=1.0, extra_in_title_prob=0.0, abstract_len=(12, 14)),
+                dict(topics_per_cluster=13, extra_topic_prob=1.0, extra_in_title_prob=0.0, abstract_len=(12, 14)),
+                "abstract_len",
+            ),
+            # no extra topics: only the two base topics need room
+            (dict(topics_per_cluster=40, extra_topic_prob=0.0, abstract_len=(2, 3)), None, None),
+        ],
+        ids=["stopwords", "filler", "title-topics", "abstract-topics", "no-extra-topics"],
+    )
+    def test_draw_sizes_fit_their_pools(self, fits, too_small, field):
+        corpus = generate_corpus(small_config(**fits))
+        assert len(corpus.articles) == 60
+        if too_small is not None:
+            with pytest.raises(ConfigError, match=field):
+                small_config(**too_small).validate()
 
 
 class TestGenerateSessions:
@@ -270,9 +299,10 @@ class TestRawDraws:
 
 class TestReplicatedPathBounds:
     def test_topic_pool_above_floyd_path_is_config_error(self):
-        small_config(topics_per_cluster=10_000).validate()
-        with pytest.raises(ConfigError, match="topics_per_cluster"):
-            small_config(topics_per_cluster=10_001).validate()
+        # No extra topics, so the short default title and abstract fit the pool.
+        small_config(topics_per_cluster=10_000, extra_topic_prob=0.0).validate()
+        with pytest.raises(ConfigError, match="topics_per_cluster must be at most"):
+            small_config(topics_per_cluster=10_001, extra_topic_prob=0.0).validate()
 
     def test_article_count_past_32_bit_lemire_is_config_error(self):
         small_config(n_articles=2**32 - 2).validate()

@@ -11,7 +11,7 @@ import pytest
 import coclick.explain
 import coclick.tagger
 import oracle_tagger
-from coclick.base import DatasetError, TrainingDiverged
+from coclick.base import ConfigError, DatasetError, TrainingDiverged
 from coclick.dataset import PairExample, TokenClickCounts, lower_tokens
 from coclick.explain import predict_dataset
 from coclick.tagger import (
@@ -250,6 +250,15 @@ class TestTraining:
         tagger = TokenTagger(lr=float("inf"), total_steps=50, batch_size=8, rng_seed=3)
         with pytest.raises(TrainingDiverged):
             tagger.fit(train)
+
+    @pytest.mark.parametrize("field", ["batch_size", "eval_every"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_knob_below_one_is_config_error(self, field, value):
+        train = separable_examples(20, random.Random(37))
+        tagger = TokenTagger(total_steps=10, rng_seed=6, **{field: value})
+        with pytest.raises(ConfigError, match=f"{field} must be at least 1, got {value}"):
+            tagger.fit(train)
+        assert tagger.weights_ is None
 
     def test_metrics_log_format(self):
         rng = random.Random(31)
