@@ -52,7 +52,6 @@ from .report import (
 from .scoring import compute_idf
 from .synth import SynthConfig
 from .tagger import HYPERPARAMETERS, TokenTagger
-from .text import positions_of
 
 # Not called here: perfbench/tracing.py wraps these stage functions on
 # coclick.cli as well as on coclick.pipeline, and fails if one is missing.
@@ -379,11 +378,8 @@ def cmd_report(args) -> int:
         model_preds = {name: load_predictions(path) for name, path in args.pred}
         blocks = []
         for ex in examples[: args.limit]:
-            per_backend = {}
-            for name, preds in model_preds.items():
-                tokens = preds.get(ex.pair_key, set())
-                per_backend[name] = positions_of(ex.similar_title_tokens, tokens)
-            blocks.append(render_case(ex, per_backend, fmt=args.format))
+            tokens = {name: preds.get(ex.pair_key, set()) for name, preds in model_preds.items()}
+            blocks.append(render_case(ex, tokens, fmt=args.format))
         text = "\n".join(blocks)
     elif args.kind == "ab":
         if not (args.dataset and args.pred_a and args.pred_b and args.sheet and args.key):

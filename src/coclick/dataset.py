@@ -17,7 +17,7 @@ from typing import IO, Iterable, Sequence
 
 from .base import LabelingError, check_ratios, read_pair_records
 from .logs import Article, PairAggregate, PairKey
-from .scoring import threshold_cap_select
+from .scoring import check_unit_interval, threshold_cap_select
 from .text import word_tokenize
 
 DROP_MIN_CLICKS = "min_clicks"
@@ -104,13 +104,17 @@ class PairExample:
 
 @dataclass
 class BuildConfig:
-    """Labeling and filtering knobs for dataset construction."""
+    """Labeling and filtering knobs for dataset construction; making one with a
+    ``gold_threshold`` or ``cap_fraction`` outside [0, 1] raises ConfigError."""
 
     gold_threshold: float = 0.30
     cap_fraction: float = 0.40
     min_clicks: int = 20
     min_title_len: int = 7
     min_nonzero: int = 3
+
+    def __post_init__(self):
+        check_unit_interval(gold_threshold=self.gold_threshold, cap_fraction=self.cap_fraction)
 
 
 def count_title_token_clicks(

@@ -10,6 +10,7 @@ on instance order.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -53,24 +54,19 @@ def count_instances(
     examples: Sequence[PairExample],
     predictions: dict[PairKey, set[str]],
     granularity: str = "token",
-    skips: list[tuple[int, int]] | None = None,
 ) -> list[InstanceCounts | None]:
     """One overlap count per example, in dataset order, at ``granularity``.
 
     An example without a prediction entry gets None, as does (defensively)
-    one with empty gold and a non-empty prediction. The two tallies are
-    appended to ``skips`` when it is given, else each is logged in one
-    warning.
+    one with empty gold and a non-empty prediction. Nothing is logged:
+    :func:`_warn_skips` tallies the None entries.
     """
     if granularity not in ("token", "title"):
         raise ValueError(f"granularity must be 'token' or 'title', got {granularity!r}")
     counts: list[InstanceCounts | None] = []
-    skipped_uncovered = 0
-    skipped_empty_gold = 0
     for ex in examples:
         pred = predictions.get(ex.pair_key)
         if pred is None:
-            skipped_uncovered += 1
             counts.append(None)
             continue
         if granularity == "token":
@@ -80,25 +76,23 @@ def count_instances(
             gold = positions_of(ex.similar_title_tokens, ex.gold_tokens)
             pred = positions_of(ex.similar_title_tokens, pred)
         if not gold and pred:
-            skipped_empty_gold += 1
             counts.append(None)
             continue
         counts.append(InstanceCounts(tp=len(gold & pred), n_gold=len(gold), n_pred=len(pred)))
-    if skips is None:
-        _warn_skips([(skipped_uncovered, skipped_empty_gold)])
-    else:
-        skips.append((skipped_uncovered, skipped_empty_gold))
     return counts
 
 
-def _warn_skips(skips: Sequence[tuple[int, int]]) -> None:
-    """One warning per distinct nonzero tally of :func:`count_instances` calls."""
-    for uncovered in dict.fromkeys(u for u, _ in skips if u):
+def _warn_skips(
+    examples: Sequence[PairExample], predictions: dict[PairKey, set[str]], counted: Iterable[list]
+) -> None:
+    """Log the uncovered examples once, then each distinct nonzero tally of the
+    other None entries (empty gold) among the :func:`count_instances` lists."""
+    uncovered = sum(1 for ex in examples if predictions.get(ex.pair_key) is None)
+    if uncovered:
         log.warning("evaluation skipped %d instances without predictions", uncovered)
-    for empty_gold in dict.fromkeys(e for _, e in skips if e):
-        log.warning(
-            "evaluation excluded %d instances with empty gold and non-empty predictions", empty_gold
-        )
+    for empty_gold in dict.fromkeys(counts.count(None) - uncovered for counts in counted):
+        if empty_gold:
+            log.warning("evaluation excluded %d instances with empty gold and non-empty predictions", empty_gold)
 
 
 def summarize(counts: Iterable[InstanceCounts | None], micro: bool = False) -> EvalMetrics:
@@ -135,7 +129,9 @@ def evaluate_predictions(
     micro: bool = False,
 ) -> EvalMetrics:
     """Score a prediction map against dataset gold at the given granularity."""
-    return summarize(count_instances(examples, predictions, granularity), micro)
+    counts = count_instances(examples, predictions, granularity)
+    _warn_skips(examples, predictions, [counts])
+    return summarize(counts, micro)
 
 
 @dataclass
@@ -232,9 +228,8 @@ def metrics_rows(
     warning, one with no scored instance.
     """
     index = {ex.pair_key: i for i, ex in enumerate(examples)}
-    skips: list[tuple[int, int]] = []
-    counted = [(g, count_instances(examples, predictions, g, skips)) for g in granularities]
-    _warn_skips(skips)
+    counted = [(g, count_instances(examples, predictions, g)) for g in granularities]
+    _warn_skips(examples, predictions, [counts for _, counts in counted])
     rows = []
     for granularity, counts in counted:
         rows.append(MetricsRow(model, granularity, "all", summarize(counts, micro)))
@@ -250,12 +245,13 @@ def metrics_rows(
 
 
 def write_metrics_csv(rows: Sequence[MetricsRow], fh: IO[str]) -> None:
-    """Report CSV: model,granularity,stratum,R,P,F1,L,N with rates x100."""
-    fh.write("model,granularity,stratum,R,P,F1,L,N\n")
+    """Report CSV: model,granularity,stratum,R,P,F1,L,N with rates x100, quoted by CSV rules."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["model", "granularity", "stratum", "R", "P", "F1", "L", "N"])
     for row in rows:
         m = row.metrics
-        fh.write(
-            f"{row.model},{row.granularity},{row.stratum},"
-            f"{m.recall * 100:.2f},{m.precision * 100:.2f},{m.f1 * 100:.2f},"
-            f"{m.avg_pred_len:.2f},{m.n_instances}\n"
-        )
+        writer.writerow([
+            row.model, row.granularity, row.stratum,
+            f"{m.recall * 100:.2f}", f"{m.precision * 100:.2f}", f"{m.f1 * 100:.2f}",
+            f"{m.avg_pred_len:.2f}", m.n_instances,
+        ])

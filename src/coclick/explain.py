@@ -29,7 +29,7 @@ from .base import (
 )
 from .dataset import PairExample
 from .logs import PairKey
-from .scoring import IdfTable, compute_idf, cosine, threshold_cap_select
+from .scoring import IdfTable, check_unit_interval, compute_idf, cosine, threshold_cap_select
 
 log = logging.getLogger(__name__)
 
@@ -168,13 +168,9 @@ def load_predictions(path: str | Path) -> dict[PairKey, set[str]]:
 
 
 class Explainer:
-    """Common interface: optional ``fit`` on corpus documents, then per-example
-    prediction of the similar-title tokens to highlight."""
+    """Common interface: per-example prediction of the similar-title tokens to highlight."""
 
     name = "explainer"
-
-    def fit(self, documents: Iterable[Sequence[str]] | None = None) -> "Explainer":
-        return self
 
     def predict_tokens(self, example: PairExample) -> set[str] | None:
         """Unique lowercase tokens to highlight; None when the example is not covered."""
@@ -210,9 +206,8 @@ class Overlapper(Explainer):
         self.idf_floor = idf_floor
         self.idf_: IdfTable | None = None
 
-    def fit(self, documents: Iterable[Sequence[str]] | None = None) -> "Overlapper":
-        if documents is not None:
-            self.idf_ = compute_idf(documents)
+    def fit(self, documents: Iterable[Sequence[str]]) -> "Overlapper":
+        self.idf_ = compute_idf(documents)
         return self
 
     def predict_tokens(self, example: PairExample) -> set[str]:
@@ -238,8 +233,8 @@ class ScoredExplainer(Explainer):
     (the ``k`` best tokens, ties to higher idf when the backend has an
     ``idf_`` table, then to the earlier token) or ``"softmax"`` (the
     labeler's rule: max-scaled softmax at threshold ``p``, capped at
-    ``cap_fraction`` of the scored tokens). Subclasses take these four as
-    keyword arguments and pass them on.
+    ``cap_fraction`` of the scored tokens; both must lie in [0, 1]).
+    Subclasses take these four as keyword arguments and pass them on.
     """
 
     def __init__(
@@ -247,6 +242,7 @@ class ScoredExplainer(Explainer):
     ):
         if selector not in SELECTORS:
             raise ConfigError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
+        check_unit_interval(p=p, cap_fraction=cap_fraction)
         self.selector = selector
         self.k = k
         self.p = p
@@ -269,7 +265,7 @@ class Bm25(ScoredExplainer):
 
     The seed document is the seed title; ``use_abstract`` extends it with the
     abstract for ablations. ``fit`` computes idf and the average document
-    length over the supplied corpus.
+    length over the supplied corpus, which must hold a token.
     """
 
     name = "bm25"
@@ -282,10 +278,10 @@ class Bm25(ScoredExplainer):
         self.idf_: IdfTable | None = None
         self.avgdl_: float | None = None
 
-    def fit(self, documents: Iterable[Sequence[str]] | None = None) -> "Bm25":
-        docs = [list(d) for d in (documents or [])]
-        if not docs:
-            raise DatasetError("Bm25.fit requires at least one document")
+    def fit(self, documents: Iterable[Sequence[str]]) -> "Bm25":
+        docs = [list(d) for d in documents]
+        if not any(docs):  # no document, or an average document length of 0
+            raise DatasetError("Bm25.fit requires a document with at least one token")
         self.idf_ = compute_idf(docs)
         self.avgdl_ = sum(len(d) for d in docs) / len(docs)
         return self

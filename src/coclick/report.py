@@ -51,22 +51,20 @@ def render_title(title: str, positions: set[int], fmt: str = "plain") -> str:
     return "".join(out)
 
 
-def render_case(
-    example: PairExample,
-    predictions: Mapping[str, set[int]],
-    fmt: str = "markdown",
-    include_gold: bool = True,
-) -> str:
-    """One case-study block: the similar title once per backend, highlighted."""
+def _highlight(example: PairExample, tokens: set[str], fmt: str) -> str:
+    """The similar title with every occurrence of ``tokens`` wrapped in emphasis."""
+    return render_title(example.similar_title, positions_of(example.similar_title_tokens, tokens), fmt)
+
+
+def render_case(example: PairExample, predictions: Mapping[str, set[str]], fmt: str = "markdown") -> str:
+    """One case-study block: the similar title with the gold tokens, then once
+    per backend with its predicted tokens, highlighted."""
     lines = [
         f"pair: {example.seed_id} -> {example.similar_id}",
         f"seed title: {example.seed_title}",
+        "gold: " + _highlight(example, example.gold_tokens, fmt),
     ]
-    if include_gold:
-        gold_positions = positions_of(example.similar_title_tokens, example.gold_tokens)
-        lines.append("gold: " + render_title(example.similar_title, gold_positions, fmt))
-    for name in predictions:
-        lines.append(f"{name}: " + render_title(example.similar_title, predictions[name], fmt))
+    lines += [f"{name}: " + _highlight(example, tokens, fmt) for name, tokens in predictions.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -103,16 +101,8 @@ def emit_ab_study(
     key_rows = []
     for ex in instances:
         instance_id = f"{ex.seed_id}:{ex.similar_id}"
-        rendered_a = render_title(
-            ex.similar_title,
-            positions_of(ex.similar_title_tokens, predictions_a[ex.pair_key]),
-            "plain",
-        )
-        rendered_b = render_title(
-            ex.similar_title,
-            positions_of(ex.similar_title_tokens, predictions_b[ex.pair_key]),
-            "plain",
-        )
+        rendered_a = _highlight(ex, predictions_a[ex.pair_key], "plain")
+        rendered_b = _highlight(ex, predictions_b[ex.pair_key], "plain")
         if rng.random() < 0.5:
             left, right = (model_a, rendered_a), (model_b, rendered_b)
         else:

@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .base import ConfigError
+
 
 @dataclass
 class IdfTable:
@@ -51,6 +53,16 @@ def max_scaled_softmax(values: Sequence[float]) -> list[float]:
     exps = [math.exp(s) for s in scaled]
     total = math.fsum(exps)
     return [e / total for e in exps]
+
+
+def check_unit_interval(**values: float) -> None:
+    """Raise ConfigError naming the first of ``values`` that is not a finite number in [0, 1].
+
+    Guards the ``p`` and ``cap_fraction`` of :func:`threshold_cap_select`.
+    """
+    for name, value in values.items():
+        if not 0.0 <= value <= 1.0:  # false for NaN too
+            raise ConfigError(f"{name} must be a finite number in [0, 1], got {value}")
 
 
 def threshold_cap_select(scores: Mapping[str, float], p: float, cap_fraction: float) -> set[str]:

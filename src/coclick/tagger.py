@@ -153,13 +153,8 @@ def feature_names(merge_seed_features: bool = False) -> tuple[str, ...]:
     return FEATURES_MERGED if merge_seed_features else FEATURES_SPLIT
 
 
-def title_labels(example: PairExample) -> np.ndarray:
-    """Per-position gold labels for the similar title."""
-    return stack_labels([example])
-
-
 def stack_labels(examples: Sequence[PairExample]) -> np.ndarray:
-    """The :func:`title_labels` of every example, stacked in order."""
+    """Per-position gold labels of every example's similar title, stacked in order."""
     return np.array(
         [t in ex.gold_tokens for ex in examples for t in ex.similar_title_tokens], dtype=np.float64
     )
@@ -272,10 +267,8 @@ class TokenTagger(Explainer):
             idf = compute_idf(docs[key] for key in sorted(docs))
         return idf, stopwords
 
-    def _stack(
-        self, examples: Sequence[PairExample], idf: IdfTable, stopwords: set[str]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return stack_features(examples, idf, stopwords, self.merge_seed_features, self.max_len)
+    def _stack(self, examples: Sequence[PairExample]) -> tuple[np.ndarray, np.ndarray]:
+        return stack_features(examples, self.idf_, self.stopwords_, self.merge_seed_features, self.max_len)
 
     def fit(
         self,
@@ -288,15 +281,13 @@ class TokenTagger(Explainer):
                 raise ConfigError(f"{field} must be at least 1, got {value}")
         if not train_examples:
             raise DatasetError("cannot train on an empty dataset")
-        idf, stopwords = self._context(train_examples)
-        self.idf_ = idf
-        self.stopwords_ = stopwords
+        self.idf_, self.stopwords_ = self._context(train_examples)
         self.feature_names_ = feature_names(self.merge_seed_features)
 
-        train_x, train_bounds = self._stack(train_examples, idf, stopwords)
+        train_x, train_bounds = self._stack(train_examples)
         train_y = stack_labels(train_examples)
         if dev_examples:
-            dev_x, dev_bounds = self._stack(dev_examples, idf, stopwords)
+            dev_x, dev_bounds = self._stack(dev_examples)
 
         dim = len(self.feature_names_)
         weights = np.zeros(dim)
@@ -385,21 +376,13 @@ class TokenTagger(Explainer):
             for ex, start, end in zip(examples, bounds, bounds[1:])
         ]
 
-    def _stacked_proba(self, examples: Sequence[PairExample]) -> tuple[np.ndarray, np.ndarray]:
-        check_fitted(self, "weights_")
-        idf, stopwords = getattr(self, "idf_", None), getattr(self, "stopwords_", None)
-        if idf is None or stopwords is None:
-            idf, stopwords = self._context()
-            self.idf_, self.stopwords_ = idf, stopwords
-        x, bounds = self._stack(examples, idf, stopwords)
-        return forward(self.weights_, x), bounds
-
-    def predict_proba(self, example: PairExample) -> np.ndarray:
-        return self._stacked_proba([example])[0]
-
     def predict_block(self, examples: Sequence[PairExample]) -> list[set[str]]:
         """Featurize ``examples`` into one matrix and score it with one ``forward``."""
-        return self._tokens_from_probs(examples, *self._stacked_proba(examples))
+        check_fitted(self, "weights_")
+        if getattr(self, "idf_", None) is None:  # a loaded checkpoint
+            self.idf_, self.stopwords_ = self._context()
+        x, bounds = self._stack(examples)
+        return self._tokens_from_probs(examples, forward(self.weights_, x), bounds)
 
     def predict_tokens(self, example: PairExample) -> set[str]:
         """Unique lowercase similar-title tokens scored at or above the threshold."""
@@ -462,8 +445,4 @@ class TokenTagger(Explainer):
         if type(step) is not int:
             raise DatasetError(f"bad checkpoint: step {step!r} is not an integer")
         tagger.step_ = step
-        if idf is not None:
-            tagger.idf_ = idf
-        if stopwords is not None:
-            tagger.stopwords_ = stopwords
         return tagger

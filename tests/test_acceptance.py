@@ -144,10 +144,10 @@ def test_criterion_5_gradient_check():
         for _ in range(20):
             examples = separable_examples(3, rng)
             idf = compute_idf([ex.similar_title_tokens for ex in examples])
-            from coclick.tagger import extract_features, title_labels
+            from coclick.tagger import extract_features, stack_labels
 
             x = np.concatenate([extract_features(ex, idf, set()) for ex in examples])
-            y = np.concatenate([title_labels(ex) for ex in examples])
+            y = np.concatenate([stack_labels([ex]) for ex in examples])
             w = np_rng.normal(0, 1, x.shape[1])
             _, grad = loss_and_grad(w, x, y)
             for i in range(len(w)):

@@ -390,6 +390,19 @@ class TestEvalVariants:
         rows = read_rows(out)
         assert rows[0]["granularity"] == "token"
 
+    def test_model_name_with_a_comma_reads_back_through_csv(self, workdir, tmp_path):
+        out = tmp_path / "metrics.csv"
+        assert main([
+            "eval", "--dataset", str(workdir / "data.test.jsonl"),
+            "--pred", f"a,b={workdir / 'pred.all.jsonl'}",
+            "--out", str(out),
+        ]) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["model", "granularity", "stratum", "R", "P", "F1", "L", "N"]
+        assert [row[:3] for row in rows] == [["a,b", "token", "all"], ["a,b", "title", "all"]]
+        assert all(len(row) == len(header) for row in rows)
+
     def test_uncovered_top_click_pair_drops_only_its_stratum(self, tmp_path):
         # An uncovered top-click pair used to make the click strata abort the whole eval.
         dataset, preds, out = tmp_path / "d.jsonl", tmp_path / "p.jsonl", tmp_path / "m.csv"
@@ -669,6 +682,21 @@ class TestExitCodes:
         )
         assert proc.returncode == 1
         assert "line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bm25_on_titles_without_a_token_fails_explain_without_traceback(self, workdir, tmp_path):
+        articles = tmp_path / "articles.tsv"
+        with open(workdir / "articles.tsv", encoding="utf-8") as fh:
+            rows = [line.split("\t") for line in fh.read().splitlines()]
+        articles.write_text("".join(f"{row[0]}\t\t{row[2]}\n" for row in rows), encoding="utf-8")
+        proc = run_cli(
+            "explain",
+            "--dataset", workdir / "data.test.jsonl",
+            "--backend", "bm25", "--articles", articles,
+            "--out", tmp_path / "p.jsonl",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: Bm25.fit requires a document with at least one token")
         assert "Traceback" not in proc.stderr
 
     def test_undecodable_stopwords_fail_explain_naming_the_line(self, workdir, tmp_path):
@@ -1120,6 +1148,50 @@ class TestBuildRatios:
         assert proc.stderr.startswith("error: split ratios ")
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestSelectionThresholds:
+    """A softmax threshold or cap that is not a finite number in [0, 1] is a clean error."""
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--cap", "nan", "cap_fraction"),
+            ("--cap", "inf", "cap_fraction"),
+            ("--cap", "1.5", "cap_fraction"),
+            ("--p", "nan", "gold_threshold"),
+            ("--p", "-0.1", "gold_threshold"),
+        ],
+    )
+    def test_bad_build_threshold_exits_1_before_the_inputs_are_read(self, tmp_path, flag, value, field):
+        proc = run_cli(
+            "build",
+            "--aggregates", tmp_path / "missing.jsonl",
+            "--articles", tmp_path / "missing.tsv",
+            "--out-prefix", tmp_path / "data",
+            flag, value,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {field} must be a finite number in [0, 1], got {value}")
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag, value, field", [("--cap", "nan", "cap_fraction"), ("--p", "inf", "p"), ("--p", "2", "p")]
+    )
+    def test_bad_softmax_selection_fails_explain_without_traceback(self, workdir, tmp_path, flag, value, field):
+        out = tmp_path / "p.jsonl"
+        proc = run_cli(
+            "explain",
+            "--dataset", workdir / "data.test.jsonl",
+            "--backend", "bm25", "--articles", workdir / "articles.tsv",
+            "--select", "softmax", flag, value,
+            "--out", out,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {field} must be a finite number in [0, 1]")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestDeterminism:

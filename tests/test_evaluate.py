@@ -339,6 +339,15 @@ class TestMetricsReport:
                 "evaluation excluded 1 instances with empty gold and non-empty predictions",
             ]
 
+    def test_count_instances_logs_nothing(self, caplog):
+        examples = [make_example(pair=(f"S{i}", "T")) for i in range(3)] + [make_example(gold=(), pair=("S9", "T"))]
+        preds = {examples[1].pair_key: {"alpha"}, examples[3].pair_key: {"zzz"}}  # two uncovered, one empty gold
+        with caplog.at_level(logging.DEBUG, logger="coclick"):
+            counts = {g: count_instances(examples, preds, g) for g in ("token", "title")}
+        assert caplog.records == []
+        assert counts["token"] == [None, InstanceCounts(1, 1, 1), None, None]
+        assert counts["title"] == [None, InstanceCounts(1, 1, 1), None, InstanceCounts(0, 0, 0)]
+
     def test_stratum_without_scored_instance_gets_no_row(self, caplog):
         examples = [make_example(pair=(f"S{i}", "T"), clicks=30 + i) for i in range(9)]
         preds = {e.pair_key: {"alpha"} for e in examples[:-1]}  # the top-click pair is uncovered

@@ -71,7 +71,7 @@ class TestRenderTitle:
 class TestRenderCase:
     def test_gold_row_and_backend_rows(self):
         ex = make_example("alpha beta gamma delta", gold={"beta"})
-        block = render_case(ex, {"bm25": {0}, "tagger": {1}}, fmt="markdown")
+        block = render_case(ex, {"bm25": {"alpha"}, "tagger": {"beta"}}, fmt="markdown")
         lines = block.splitlines()
         assert lines[0] == "pair: S1 -> T1"
         assert lines[2] == "gold: alpha **beta** gamma delta"
@@ -80,7 +80,7 @@ class TestRenderCase:
 
     def test_empty_prediction_unmarked(self):
         ex = make_example()
-        block = render_case(ex, {"m": set()}, fmt="plain", include_gold=False)
+        block = render_case(ex, {"m": set()}, fmt="plain")
         assert block.splitlines()[-1] == "m: alpha beta gamma delta"
 
 

@@ -25,7 +25,6 @@ from coclick.tagger import (
     lr_at,
     stack_features,
     stack_labels,
-    title_labels,
 )
 from coclick.scoring import compute_idf
 from coclick.text import positions_of
@@ -133,7 +132,7 @@ class TestTaggerInput:
 
     def test_duplicate_gold_token_labels_both_positions(self):
         ex = make_example("s", "dose response dose", gold={"dose"})
-        assert title_labels(ex).tolist() == [1.0, 0.0, 1.0]
+        assert stack_labels([ex]).tolist() == [1.0, 0.0, 1.0]
 
 
 class TestModelMath:
@@ -141,7 +140,7 @@ class TestModelMath:
         examples = separable_examples(n_examples, rng)
         idf = compute_idf([ex.similar_title_tokens for ex in examples])
         x = np.concatenate([extract_features(ex, idf, set()) for ex in examples])
-        y = np.concatenate([title_labels(ex) for ex in examples])
+        y = np.concatenate([stack_labels([ex]) for ex in examples])
         return x, y
 
     def test_zero_weights_give_half_probability(self):
@@ -171,7 +170,7 @@ class TestModelMath:
         examples = separable_examples(8, rng)
         idf = compute_idf([ex.similar_title_tokens for ex in examples])
         x = np.concatenate([extract_features(ex, idf, set()) for ex in examples])
-        y = np.concatenate([title_labels(ex) for ex in examples])
+        y = np.concatenate([stack_labels([ex]) for ex in examples])
         # gold iff in_seed_title: +20 on that feature, -10 bias
         w = np.zeros(x.shape[1])
         w[FEATURES_SPLIT.index("in_seed_title")] = 20.0
@@ -546,7 +545,8 @@ class TestMatchesPerExampleOracle:
             assert list(preds.items()) == [(ex.pair_key, old.predict_tokens(ex)) for ex in test]
             for ex in test:
                 if len(ex.similar_title_tokens) > 1:
-                    assert new.predict_proba(ex).tobytes() == old.predict_proba(ex).tobytes()
+                    features = extract_features(ex, new.idf_, new.stopwords_, new.merge_seed_features, new.max_len)
+                    assert forward(new.weights_, features).tobytes() == old.predict_proba(ex).tobytes()
 
     def test_oversize_similar_title_raises_the_same_error(self):
         ok = make_example("s1 s2", "t1 t2 t3", gold={"t1"}, pair=("S0", "T0"))
