@@ -55,12 +55,19 @@ class TokenMemo(dict):
     """Text -> :func:`lower_tokens`, computed on the first lookup of each text.
 
     One stage call owns one memo and drops it when it returns, so each
-    distinct text is tokenized once per call and nothing outlives the call.
-    Callers must not mutate the lists it hands out.
+    distinct text is tokenized once per call. Every token goes through
+    ``strings``, which keeps one string object per distinct value for the
+    call. The lists it hands out are shared by every caller that looks up
+    the same text, so they are read-only.
     """
 
+    def __init__(self) -> None:
+        super().__init__()
+        self.strings: dict[str, str] = {}
+
     def __missing__(self, text: str) -> list[str]:
-        tokens = self[text] = lower_tokens(text)
+        share = self.strings.setdefault
+        tokens = self[text] = [share(t, t) for t in lower_tokens(text)]
         return tokens
 
 
@@ -72,8 +79,9 @@ class PairExample:
     lowercase word tokens, computed on construction, so every consumer sees
     one tokenization; a title position is an index into
     ``similar_title_tokens``. A shared :class:`TokenMemo` passed as ``memo``
-    tokenizes each distinct text once across many examples; every view is
-    still a list of its own.
+    tokenizes each distinct text once across many examples, and the examples
+    that hold the same text share its one token list: the views are
+    read-only. Without a memo, each text is tokenized on its own.
     """
 
     seed_id: str
@@ -91,11 +99,10 @@ class PairExample:
     memo: InitVar[TokenMemo | None] = None
 
     def __post_init__(self, memo: TokenMemo | None) -> None:
-        if memo is None:
-            memo = TokenMemo()
-        self.seed_title_tokens = list(memo[self.seed_title])
-        self.seed_abstract_tokens = list(memo[self.seed_abstract])
-        self.similar_title_tokens = list(memo[self.similar_title])
+        tokens = lower_tokens if memo is None else memo.__getitem__
+        self.seed_title_tokens = tokens(self.seed_title)
+        self.seed_abstract_tokens = tokens(self.seed_abstract)
+        self.similar_title_tokens = tokens(self.similar_title)
 
     @property
     def pair_key(self) -> PairKey:
@@ -309,7 +316,9 @@ def load_dataset(fh: IO[str]) -> list[PairExample]:
     when an id or text is not a string, ``gold_tokens`` is not a list of
     strings, a count is not an integer of at least 0, or a gold or counted
     token is not in the similar title. Each distinct text is tokenized once
-    per call.
+    per call. Every text and token is kept as one string object per distinct
+    value, and every text as one token list, shared by all the rows that
+    hold it: each row decodes fresh copies of the same seed texts and tokens.
     """
     memo = TokenMemo()
     return list(read_pair_records(fh, "dataset", lambda record: _parse_example(record, memo)).values())
@@ -332,10 +341,11 @@ def _parse_example(record: dict, memo: TokenMemo) -> tuple[PairKey, PairExample]
             raise ValueError(f"count {count!r} for token {token!r} is not an integer >= 0")
     if type(combined) is not int or combined < 0:
         raise ValueError(f"combined_clicks {combined!r} is not an integer >= 0")
+    share = memo.strings.setdefault
     ex = PairExample(
-        **texts,
-        gold_tokens=set(gold),
-        token_counts=TokenClickCounts(counts),
+        **{name: share(text, text) for name, text in texts.items()},
+        gold_tokens={share(t, t) for t in gold},
+        token_counts=TokenClickCounts({share(t, t): count for t, count in counts.items()}),
         combined_clicks=combined,
         memo=memo,
     )

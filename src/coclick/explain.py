@@ -230,10 +230,11 @@ class ScoredExplainer(Explainer):
 
     ``score_tokens`` returns one score per unique lowercase title token, in
     title order, or None for an uncovered pair. ``selector`` is ``"topk"``
-    (the ``k`` best tokens, ties to higher idf when the backend has an
-    ``idf_`` table, then to the earlier token) or ``"softmax"`` (the
-    labeler's rule: max-scaled softmax at threshold ``p``, capped at
-    ``cap_fraction`` of the scored tokens; both must lie in [0, 1]).
+    (the ``k`` best tokens, ``k`` an int of at least 0, ties to higher idf
+    when the backend has an ``idf_`` table, then to the earlier token) or
+    ``"softmax"`` (the labeler's rule: max-scaled softmax at threshold
+    ``p``, capped at ``cap_fraction`` of the scored tokens; both must lie
+    in [0, 1]).
     Subclasses take these four as keyword arguments and pass them on.
     """
 
@@ -242,6 +243,9 @@ class ScoredExplainer(Explainer):
     ):
         if selector not in SELECTORS:
             raise ConfigError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
+        # bool is a subclass of int, but true is no size
+        if type(k) is not int or k < 0:
+            raise ConfigError(f"k must be an integer >= 0, got {k!r}")
         check_unit_interval(p=p, cap_fraction=cap_fraction)
         self.selector = selector
         self.k = k

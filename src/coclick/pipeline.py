@@ -291,8 +291,14 @@ def run_eval(
     and write the metrics CSV to ``out_path``; returns its rows.
 
     ``strata`` is ``"none"``, ``"clicks"`` or ``"similarity"``; similarity
-    quintiles read their scores from ``pair_scores_path``.
+    quintiles read their scores from ``pair_scores_path``. Each name must
+    be distinct, since it is all that tells the rows of two models apart.
     """
+    names: set[str] = set()
+    for name, _ in preds:
+        if name in names:
+            raise ConfigError(f"prediction name {name!r} is given more than once")
+        names.add(name)
     if strata not in ("none", "clicks", "similarity"):
         raise ConfigError(f"strata must be 'none', 'clicks' or 'similarity', got {strata!r}")
     if strata == "similarity" and pair_scores_path is None:

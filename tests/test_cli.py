@@ -520,6 +520,32 @@ class TestExitCodes:
         assert f"{preds}:2" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_repeated_prediction_name_fails_eval_before_reading_predictions(self, workdir, tmp_path):
+        out = tmp_path / "m.csv"
+        proc = run_cli(
+            "eval",
+            "--dataset", workdir / "data.test.jsonl",
+            "--pred", f"a={tmp_path / 'missing.all.jsonl'}",
+            "--pred", f"a={tmp_path / 'missing.bm25.jsonl'}",
+            "--out", out,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: prediction name 'a' is given more than once\n"
+        assert not out.exists()
+
+    def test_negative_k_fails_explain_without_traceback(self, workdir, tmp_path):
+        out = tmp_path / "p.jsonl"
+        proc = run_cli(
+            "explain",
+            "--dataset", workdir / "data.test.jsonl",
+            "--backend", "bm25", "--articles", workdir / "articles.tsv",
+            "--k", "-1",
+            "--out", out,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: k must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
     def test_version_1_checkpoint_fails_explain_without_traceback(self, workdir, tmp_path):
         record = json.loads((workdir / "tagger.json").read_text("utf-8"))
         record["version"] = 1

@@ -23,8 +23,13 @@ from coclick.dataset import (
     split_dataset,
     write_dataset,
 )
-from coclick.logs import Article, PairAggregate, aggregate_sharded
+from coclick.evaluate import metrics_rows, stratify_by_clicks
+from coclick.explain import predict_dataset
+from coclick.logs import Article, PairAggregate, aggregate_sharded, read_metadata
+from coclick.pipeline import default_backends
+from coclick.report import corpus_stats, render_case
 from coclick.scoring import compute_idf, max_scaled_softmax
+from coclick.tagger import TokenTagger
 
 from oracle_builder import oracle_build
 
@@ -53,6 +58,10 @@ def dataset_line(**overrides):
     }
     record.update(overrides)
     return json.dumps(record) + "\n"
+
+
+# The texts of a row that have a token view ``<text>_tokens``.
+VIEWS = ("seed_title", "seed_abstract", "similar_title")
 
 
 class TestCountTitleTokenClicks:
@@ -474,11 +483,63 @@ class TestTokenizeOnce:
         load_dataset(io.StringIO(text))
         assert tokenized == Counter({"x y": 2, "a b c": 2, "c b a": 2})
 
-    def test_rows_sharing_a_seed_get_lists_of_their_own(self):
-        seed = {"seed_id": "S", "seed_title": "x y", "seed_abstract": "a b c"}
+    def test_rows_sharing_a_seed_share_one_token_list(self):
+        seed = {"seed_id": "S", "seed_title": "X y", "seed_abstract": "A b-C"}
         text = dataset_line(**seed, similar_id="T") + dataset_line(**seed, similar_id="U")
         first, second = load_dataset(io.StringIO(text))
-        assert first.seed_abstract_tokens == second.seed_abstract_tokens == ["a", "b", "c"]
-        assert first.seed_abstract_tokens is not second.seed_abstract_tokens
-        first.seed_abstract_tokens.append("d")
-        assert second.seed_abstract_tokens == ["a", "b", "c"]
+        assert first.seed_title_tokens is second.seed_title_tokens
+        assert first.seed_abstract_tokens is second.seed_abstract_tokens
+        assert first.similar_title_tokens is second.similar_title_tokens
+        for ex in (first, second):
+            for view in VIEWS:
+                assert getattr(ex, f"{view}_tokens") == lower_tokens(getattr(ex, view))
+
+    def test_rows_share_one_string_per_distinct_text_and_token(self):
+        seed = {"seed_id": "S1", "seed_title": "Dose response", "seed_abstract": "Dose timing in adults"}
+        lines = [
+            dataset_line(
+                **seed, similar_id="T1", similar_title="Vaccine dose response",
+                token_counts={"vaccine": 3, "dose": 1, "response": 0}, gold_tokens=["vaccine"],
+            ),
+            dataset_line(
+                **seed, similar_id="T2", similar_title="Vaccine timing in adults",
+                token_counts={"vaccine": 2, "timing": 0, "in": 0, "adults": 0}, gold_tokens=["vaccine"],
+            ),
+        ]
+        first, second = load_dataset(io.StringIO("".join(lines)))
+        assert first.seed_id is second.seed_id
+        assert first.seed_title is second.seed_title
+        assert first.seed_abstract is second.seed_abstract
+        assert next(iter(first.gold_tokens)) is next(iter(second.gold_tokens))
+        for ex in (first, second):
+            title = {token: token for token in ex.similar_title_tokens}
+            assert all(token is title[token] for token in ex.gold_tokens)
+            assert all(token is title[token] for token in ex.token_counts.counts)
+        out = io.StringIO()
+        write_dataset([first, second], out)
+        assert out.getvalue() == "".join(lines)
+
+
+def test_no_stage_mutates_a_shared_token_view(benchmark_result):
+    """Rows that hold the same text share its token list, so every stage must only read the views."""
+    paths = benchmark_result.paths
+    splits = {}
+    for name in ("train", "dev", "test"):
+        with open(paths[name], encoding="utf-8") as fh:
+            splits[name] = load_dataset(fh)
+    with open(paths["articles"], encoding="utf-8") as fh:
+        articles = read_metadata(fh)
+    examples = [ex for rows in splits.values() for ex in rows]
+    assert any(a.seed_title_tokens is b.seed_title_tokens for a, b in zip(examples, examples[1:]))
+    snapshot = [[lower_tokens(getattr(ex, view)) for view in VIEWS] for ex in examples]
+
+    tagger = TokenTagger(total_steps=40, eval_every=20).fit(splits["train"], splits["dev"])
+    strata = stratify_by_clicks(examples)
+    for backend in default_backends(articles, tagger):
+        predictions, _ = predict_dataset(backend, examples)
+        metrics_rows(backend.name, examples, predictions, strata=strata)
+        for ex in examples:
+            render_case(ex, {backend.name: predictions.get(ex.pair_key, set())})
+    corpus_stats(examples)
+
+    assert [[getattr(ex, f"{view}_tokens") for view in VIEWS] for ex in examples] == snapshot

@@ -391,6 +391,11 @@ class TestScoredExplainerSelection:
         with pytest.raises(ConfigError, match="bogus"):
             make(selector="bogus")
 
+    @pytest.mark.parametrize("k", [-1, 1.5, True, "3"])
+    def test_k_that_is_not_an_int_of_at_least_0_rejected_at_construction(self, k):
+        with pytest.raises(ConfigError, match=f"k must be an integer >= 0, got {k!r}"):
+            ExternalScores({}, k=k)
+
     def test_softmax_selection_reaches_the_backend(self):
         ex = make_example("s", "alpha beta gamma delta eps")
         scores = {ex.pair_key: [("alpha", 9.0), ("beta", 0.0), ("gamma", 0.0), ("delta", 0.0), ("eps", 0.0)]}
